@@ -3,15 +3,33 @@
 Every piece gets a table of unique lexicographic shortest paths between its
 boundary vertices: the internal table restricts paths to the piece's own
 edges, the external table to everything outside the piece.  Internal tables
-are assembled bottom-up by running the lexicographic Dijkstra over the union
-of the children's tables; external tables run top-down over the parent's
-external table plus the sibling internal tables.
+are assembled bottom-up by running the lexicographic Dijkstra over the
+children's tables; external tables run top-down over the parent's external
+table plus the sibling internal tables.
 
 A table entry is a compressed path.  It remembers its weight, real edge
 count, end darts and smallest interior vertex, and it can expand to the exact
 host dart sequence on demand (memoized); expansion is also what the path
 comparison falls back to on deep ties, so composed tables reproduce the very
 same canonical paths that a direct search on the underlying subgraph finds.
+
+Only *direct* entries feed the searches.  An entry is direct when no
+boundary vertex of the piece that owns its table lies strictly inside its
+path.  This loses no path: subpaths of a canonical path are canonical, so an
+entry s -> t of table c that passes through x in the boundary of c equals
+entry (s, x) followed by entry (x, t) of the same table.  Splitting a host
+path at every boundary vertex it passes therefore gives exactly one chain of
+direct arcs, and the search still meets every host path once, now without
+comparing a path against another decomposition of itself.
+
+The flag costs one pass over the search chain.  An arc is direct in its own
+table, and a boundary vertex of the piece being assembled that lies on the
+arc's path is also a boundary vertex of the arc's own piece (a child for an
+internal table; the parent's exterior or a sibling for an external one).
+So no arc hides a boundary vertex of the new piece: a new entry is direct
+exactly when no intermediate node of its chain is a boundary vertex, and a
+one-arc chain reuses its arc's entry, which is direct in the new table too.
+Tables still hold every pair, for the readers outside this module.
 """
 
 from __future__ import annotations
@@ -26,10 +44,11 @@ class DDGEntry:
     """Compressed canonical shortest path between two host vertices."""
 
     __slots__ = ("src", "dst", "weight", "nedges", "interior_min",
-                 "first_dart", "last_dart", "parts", "_darts", "_interior")
+                 "first_dart", "last_dart", "parts", "direct", "_darts",
+                 "_interior")
 
     def __init__(self, src, dst, weight, nedges, interior_min,
-                 first_dart, last_dart, parts):
+                 first_dart, last_dart, parts, direct=True):
         self.src = src
         self.dst = dst
         self.weight = weight
@@ -38,6 +57,7 @@ class DDGEntry:
         self.first_dart = first_dart
         self.last_dart = last_dart
         self.parts = parts          # None for a single real dart
+        self.direct = direct        # see the module docstring
         self._darts = None
         self._interior = None
 
@@ -90,74 +110,63 @@ def dart_entry(g: PlanarEmbedding, d: int) -> DDGEntry:
     return DDGEntry(g.tail(d), g.head[d], g.weights[e], 1, INDEX_INF, d, d, None)
 
 
-def entry_from_chain(chain: PathChain) -> DDGEntry:
+def entry_from_chain(chain: PathChain, boundary) -> DDGEntry:
+    """Table entry for a search chain of table arcs.
+
+    A one-arc chain is the arc's own entry.  A longer chain gets a new entry
+    that is direct when none of its intermediate nodes is in `boundary`.
+    """
     parts = [hop.payload for hop in chain.hops()]
     if any(p is None for p in parts):
         raise InternalAssertion("search hop without a table entry payload")
     if len(parts) == 1:
         return parts[0]
-    src = parts[0].src
-    dst = parts[-1].dst
-    interior_min = INDEX_INF
-    for i, p in enumerate(parts):
+    interior_min = parts[-1].interior_min
+    direct = True
+    for p in parts[:-1]:
         if p.interior_min < interior_min:
             interior_min = p.interior_min
-        if i + 1 < len(parts) and p.dst < interior_min:
+        if p.dst < interior_min:
             interior_min = p.dst
-    return DDGEntry(src, dst, chain.weight, chain.nedges, interior_min,
-                    parts[0].first_dart, parts[-1].last_dart, parts)
+        if p.dst in boundary:
+            direct = False
+    return DDGEntry(parts[0].src, parts[-1].dst, chain.weight, chain.nedges,
+                    interior_min, parts[0].first_dart, parts[-1].last_dart,
+                    parts, direct)
 
 
 Table = dict  # (src, dst) -> DDGEntry, src != dst, directed
 
 
 def table_adjacency(tables) -> dict:
-    """Merge entry tables into a node -> [Hop] map, deterministic order."""
+    """Search arcs over entry tables: the direct entries as a node -> [Hop]
+    map, in deterministic order."""
     adj: dict = {}
     for table in tables:
         for (a, _b), entry in table.items():
-            adj.setdefault(a, []).append(entry_hop(entry))
+            if entry.direct:
+                adj.setdefault(a, []).append(entry_hop(entry))
     return adj
 
 
-def graph_adjacency(g: PlanarEmbedding, edges=None) -> dict:
-    """node -> [Hop] over real darts, optionally restricted to an edge set."""
-    adj: dict = {}
-    for v in range(g.n):
-        row = []
-        for d in g.out[v]:
-            if edges is not None and (d >> 1) not in edges:
-                continue
-            row.append(entry_hop(dart_entry(g, d)))
-        if row:
-            adj[v] = row
-    return adj
-
-
-def ddg_dijkstra(adj: dict, sources, targets=None) -> dict:
-    """Canonical shortest paths over an adjacency of table hops.
-
-    Returns {node: DDGEntry} for settled non-source nodes plus {source: None}.
-    """
-    res = lex_dijkstra(lambda v: adj.get(v, ()), sources,
-                       expand_interior=hop_interior, targets=targets)
-    out = {}
-    for node, chain in res.items():
-        out[node] = entry_from_chain(chain) if chain.nedges > 0 else None
-    return out
-
-
-def _all_pairs(adj: dict, sources, targets) -> Table:
+def _all_pairs(adj: dict, boundary) -> Table:
+    """Canonical paths over `adj` between every ordered pair of `boundary`
+    vertices, one search per source."""
     table: Table = {}
-    tlist = sorted(targets)
-    for s in sorted(sources):
-        got = ddg_dijkstra(adj, [s], targets=tlist)
-        for t in tlist:
-            entry = got.get(t)
-            if t != s and entry is not None:
-                if entry.src != s or entry.dst != t:
-                    raise InternalAssertion("table entry endpoints drifted")
-                table[(s, t)] = entry
+    bset = set(boundary)
+    blist = sorted(bset)
+    arcs = lambda v: adj.get(v, ())
+    for s in blist:
+        got = lex_dijkstra(arcs, [s], expand_interior=hop_interior,
+                           targets=blist)
+        for t in blist:
+            chain = got.get(t)
+            if t == s or chain is None:
+                continue
+            entry = entry_from_chain(chain, bset)
+            if entry.src != s or entry.dst != t:
+                raise InternalAssertion("table entry endpoints drifted")
+            table[(s, t)] = entry
     return table
 
 
@@ -192,8 +201,7 @@ def build_ddgs(sd: Subdivision, with_ext: bool = True) -> DDGSet:
             else:
                 children = [ddg.int_tables[c] for c in piece.children]
                 adj = table_adjacency(children)
-                ddg.int_tables[pid] = _all_pairs(adj, piece.boundary,
-                                                 piece.boundary)
+                ddg.int_tables[pid] = _all_pairs(adj, piece.boundary)
                 ddg.stats["dijkstra_sources"] += len(piece.boundary)
             ddg.stats["int_entries"] += len(ddg.int_tables[pid])
 
@@ -212,8 +220,7 @@ def build_ddgs(sd: Subdivision, with_ext: bool = True) -> DDGSet:
                 if sib != pid:
                     around.append(ddg.int_tables[sib])
             adj = table_adjacency(around)
-            ddg.ext_tables[pid] = _all_pairs(adj, piece.boundary,
-                                             piece.boundary)
+            ddg.ext_tables[pid] = _all_pairs(adj, piece.boundary)
             ddg.stats["dijkstra_sources"] += len(piece.boundary)
             ddg.stats["ext_entries"] += len(ddg.ext_tables[pid])
     return ddg

@@ -625,30 +625,35 @@ class MinCutOracle:
         with open(path, "rb") as fh:
             if fh.read(4) != MAGIC:
                 raise InputError("not an oracle file")
-            version, mode_flag = struct.unpack("<HH", fh.read(4))
-            if version != 1:
-                raise InputError(f"unsupported oracle version {version}")
-            n_nodes, scale, n_edges = struct.unpack("<qqq", fh.read(24))
-            gh_edges = []
-            for _ in range(n_edges):
-                gh_edges.append(struct.unpack("<qqqqq", fh.read(40)))
-            tables = CutReportTables()
-            (n_cycles,) = struct.unpack("<q", fh.read(8))
-            for idx in range(n_cycles):
-                rec = struct.unpack("<qqqqqq", fh.read(48))
-                k, d1, d2, tin, tout, depth = rec
-                p = list(struct.unpack(f"<{k}q", fh.read(8 * k)))
-                tables.p_darts.append(p)
-                tables.d1.append(d1)
-                tables.d2.append(d2)
-                tables.tin.append(tin)
-                tables.tout.append(tout)
-                tables.depth.append(depth)
-                for i, d in enumerate(p):
-                    tables.owner[d] = (idx, i)
-            tables.finalize()
-            (nd,) = struct.unpack("<q", fh.read(8))
-            edge_of_dart = list(struct.unpack(f"<{nd}q", fh.read(8 * nd)))
+            try:
+                version, mode_flag = struct.unpack("<HH", fh.read(4))
+                if version != 1:
+                    raise InputError(f"unsupported oracle version {version}")
+                n_nodes, scale, n_edges = struct.unpack("<qqq", fh.read(24))
+                gh_edges = []
+                for _ in range(n_edges):
+                    gh_edges.append(struct.unpack("<qqqqq", fh.read(40)))
+                tables = CutReportTables()
+                (n_cycles,) = struct.unpack("<q", fh.read(8))
+                for idx in range(n_cycles):
+                    rec = struct.unpack("<qqqqqq", fh.read(48))
+                    k, d1, d2, tin, tout, depth = rec
+                    p = list(struct.unpack(f"<{k}q", fh.read(8 * k)))
+                    tables.p_darts.append(p)
+                    tables.d1.append(d1)
+                    tables.d2.append(d2)
+                    tables.tin.append(tin)
+                    tables.tout.append(tout)
+                    tables.depth.append(depth)
+                    for i, d in enumerate(p):
+                        tables.owner[d] = (idx, i)
+                tables.finalize()
+                (nd,) = struct.unpack("<q", fh.read(8))
+                edge_of_dart = list(struct.unpack(f"<{nd}q", fh.read(8 * nd)))
+            except struct.error as exc:
+                # a short read leaves struct.unpack too few bytes
+                raise InputError(
+                    f"truncated or corrupt oracle file: {exc}") from None
         mode = "cut" if mode_flag == 0 else "mcb"
         pmi = None
         if mode == "cut":

@@ -419,7 +419,8 @@ def _arc_touches_cut(entry, xcut: XCut) -> bool:
 
 def _group_path_adjacency(ctx: PieceContext, real_edges) -> dict:
     """Plain-vertex adjacency for the X search: the group's real darts plus
-    compact arcs over the sibling interiors and the piece exterior."""
+    compact arcs over the sibling interiors and the piece exterior (direct
+    table entries only, as in the distance table assembly)."""
     g = ctx.g
     adj: dict = {}
     for e in sorted(real_edges):
@@ -428,7 +429,8 @@ def _group_path_adjacency(ctx: PieceContext, real_edges) -> dict:
                 dart_hop(g.head[d], d, g.weights[e]))
     for table in list(ctx.sib_tables) + [ctx.ext_table]:
         for entry in table.values():
-            adj.setdefault(entry.src, []).append(entry_hop(entry))
+            if entry.direct:
+                adj.setdefault(entry.src, []).append(entry_hop(entry))
     return adj
 
 

@@ -41,9 +41,6 @@ class TieBreakWeight(NamedTuple):
             self.eps_count + other.eps_count,
         )
 
-    def __mul__(self, k: int) -> "TieBreakWeight":  # type: ignore[override]
-        return TieBreakWeight(self.inf_count * k, self.base * k, self.eps_count * k)
-
     @property
     def is_finite(self) -> bool:
         return self.inf_count == 0
@@ -253,22 +250,6 @@ def _default_expand_interior(hop: Hop):
     raise NoPath("hop requires an interior expander for exact tie-breaking")
 
 
-class _HeapEntry:
-    __slots__ = ("key", "chain", "index_of", "expand_interior")
-
-    def __init__(self, chain: PathChain, index_of, expand_interior):
-        self.key = (chain.weight, chain.nedges)
-        self.chain = chain
-        self.index_of = index_of
-        self.expand_interior = expand_interior
-
-    def __lt__(self, other: "_HeapEntry") -> bool:
-        if self.key != other.key:
-            return self.key < other.key
-        return compare_chains(self.chain, other.chain, self.index_of,
-                              self.expand_interior) < 0
-
-
 def lex_dijkstra(adj: Callable[[object], Iterable[Hop]],
                  sources: Sequence,
                  index_of: Callable = lambda v: v,
@@ -277,17 +258,21 @@ def lex_dijkstra(adj: Callable[[object], Iterable[Hop]],
     """Unique lexicographic shortest-path forest from `sources`.
 
     `adj(node)` yields Hop objects.  `sources` is a sequence of nodes or
-    prebuilt PathChain seeds.  Returns {node: PathChain} for every reached
-    node (restricted to `targets` closure semantics: the search stops early
-    once all targets are settled).  Deterministic given the adjacency order.
+    prebuilt PathChain seeds.  Returns {node: PathChain} for every settled
+    node.  With `targets` the search stops once all targets are settled;
+    the other nodes it returns then depend on heap order, so callers read
+    only the targets.  Deterministic given the adjacency order.
 
     Edge counts are strictly positive on every hop, so nodes whose keys tie on
     (weight, nedges) never relax each other and heap order within such a tie
-    class cannot affect the result.
+    class cannot affect the result: the heap orders it by insertion.  A
+    candidate is compared in full, and allocated, only when its
+    (weight, nedges) beats or ties the node's best so far.
     """
     best: dict = {}
     settled: dict = {}
-    heap: list[_HeapEntry] = []
+    heap: list = []
+    seq = 0
     want = set(targets) if targets is not None else None
 
     for s in sources:
@@ -295,28 +280,40 @@ def lex_dijkstra(adj: Callable[[object], Iterable[Hop]],
         cur = best.get(chain.node)
         if cur is None or compare_chains(chain, cur, index_of, expand_interior) < 0:
             best[chain.node] = chain
-            heapq.heappush(heap, _HeapEntry(chain, index_of, expand_interior))
+            heapq.heappush(heap, (chain.weight, chain.nedges, seq, chain))
+            seq += 1
 
     while heap:
-        entry = heapq.heappop(heap)
-        chain = entry.chain
+        chain = heapq.heappop(heap)[3]
         node = chain.node
-        if node in settled or best.get(node) is not chain:
+        if node in settled or best[node] is not chain:
             continue
         settled[node] = chain
         if want is not None:
             want.discard(node)
             if not want:
                 break
+        weight = chain.weight
+        nedges = chain.nedges
         for hop in adj(node):
             head = hop.head
             if head in settled:
                 continue
-            cand = chain.extend(hop)
+            w = weight + hop.weight
+            k = nedges + hop.nedges
             cur = best.get(head)
-            if cur is None or compare_chains(cand, cur, index_of, expand_interior) < 0:
-                best[head] = cand
-                heapq.heappush(heap, _HeapEntry(cand, index_of, expand_interior))
+            if cur is None or w < cur.weight or (w == cur.weight
+                                                 and k < cur.nedges):
+                cand = PathChain(head, chain, hop, w, k)
+            elif w == cur.weight and k == cur.nedges:
+                cand = PathChain(head, chain, hop, w, k)
+                if compare_chains(cand, cur, index_of, expand_interior) >= 0:
+                    continue
+            else:
+                continue
+            best[head] = cand
+            heapq.heappush(heap, (w, k, seq, cand))
+            seq += 1
     return settled
 
 

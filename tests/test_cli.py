@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from planarcut.cli import main
@@ -67,6 +71,27 @@ def test_verify_jobs(capsys):
 def test_missing_file_exit_code(capsys):
     assert main(["build", "no/such/file.g", "-o", "x.pco"]) == 2
     assert main(["query", "no/such/oracle.pco", "0", "1"]) == 2
+
+
+def test_truncated_oracle_exit_code(tmp_path, single_edge_file, capsys):
+    orc = tmp_path / "edge.pco"
+    assert main(["build", single_edge_file, "-o", str(orc)]) == 0
+    data = orc.read_bytes()
+    for size in (6, 20, 40, len(data) // 2, len(data) - 1):
+        orc.write_bytes(data[:size])
+        capsys.readouterr()
+        assert main(["query", str(orc), "0", "1"]) == 2
+        assert "truncated or corrupt" in capsys.readouterr().err
+    # the installed entry point: exit code 2 and no traceback
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "planarcut.cli", "query",
+                           str(orc), "0", "1"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "truncated or corrupt" in proc.stderr
 
 
 def test_bad_generator_spec(capsys):

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
-from planarcut.ddg import (build_ddgs, ddg_dijkstra, graph_adjacency,
-                           table_adjacency)
+from _search_reference import ddg_dijkstra, graph_adjacency
+from planarcut import weights
+from planarcut.ddg import build_ddgs, entry_hop, table_adjacency
 from planarcut.generators import (grid_graph, random_delaunay_graph,
                                   random_grid_subgraph)
+from planarcut.planar_core import build_embedding
 from planarcut.subdivision import recursive_subdivide
 from planarcut.weights import TieBreakWeight
 
@@ -147,3 +151,125 @@ def test_union_adjacency_search_spans_pieces():
                 continue
             assert got[t].weight == want[t].weight
             assert got[t].darts() == want[t].darts()
+
+
+# ---------------------------------------------------------------------------
+# direct entries: the only table entries the assembly searches over
+
+
+def parallel_zero_graph():
+    """4 x 4 grid with every third edge doubled beside itself (same weight)
+    and every fourth edge of weight zero."""
+    g = grid_graph(4, 4, rng=random.Random(5))
+    edges = [g.endpoints(e) for e in range(g.m)]
+    weights = list(g.weights)
+    rotations = [[d >> 1 for d in g.out[v]] for v in range(g.n)]
+    for e in range(0, g.m, 3):
+        u, v = edges[e]
+        twin = len(edges)
+        edges.append((u, v))
+        weights.append(weights[e])
+        rotations[u].insert(rotations[u].index(e) + 1, twin)
+        rotations[v].insert(rotations[v].index(e), twin)
+    weights = [TieBreakWeight.of(0) if e % 4 == 0 else w
+               for e, w in enumerate(weights)]
+    return build_embedding(g.n, edges, weights, rotations)
+
+
+DIRECT_GRAPHS = {
+    "grid": lambda: grid_graph(4, 5),
+    "delaunay": lambda: random_delaunay_graph(18, seed=2),
+    "sparse": lambda: random_grid_subgraph(4, 5, seed=13, keep=0.5),
+    "parallel-zero": parallel_zero_graph,
+}
+
+
+def reference_ddgs(sd, ddg):
+    """Tables assembled with every entry of the input tables as a search
+    arc, not only the direct ones.  Leaf tables are shared with `ddg`."""
+    def adjacency(tables):
+        adj: dict = {}
+        for table in tables:
+            for (a, _b), entry in table.items():
+                adj.setdefault(a, []).append(entry_hop(entry))
+        return adj
+
+    def all_pairs(adj, boundary):
+        table = {}
+        for s in sorted(set(boundary)):
+            got = ddg_dijkstra(adj, [s], targets=boundary)
+            for t in boundary:
+                if t != s and got.get(t) is not None:
+                    table[(s, t)] = got[t]
+        return table
+
+    int_tables = [None] * len(sd.pieces)
+    ext_tables = [None] * len(sd.pieces)
+    levels = sd.levels()
+    for level in reversed(levels):
+        for pid in level:
+            piece = sd.pieces[pid]
+            if piece.is_leaf:
+                int_tables[pid] = ddg.int_tables[pid]
+            else:
+                adj = adjacency(int_tables[c] for c in piece.children)
+                int_tables[pid] = all_pairs(adj, piece.boundary)
+    for level in levels:
+        for pid in level:
+            piece = sd.pieces[pid]
+            if piece.parent < 0:
+                ext_tables[pid] = {}
+                continue
+            parent = sd.pieces[piece.parent]
+            around = [ext_tables[parent.id]]
+            around += [int_tables[c] for c in parent.children if c != pid]
+            ext_tables[pid] = all_pairs(adjacency(around), piece.boundary)
+    return int_tables, ext_tables
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_GRAPHS))
+def test_direct_flag_matches_boundary_interior(name):
+    g = DIRECT_GRAPHS[name]()
+    sd = recursive_subdivide(g)
+    ddg = build_ddgs(sd)
+    seen = {True: 0, False: 0}
+    for piece in sd.pieces:
+        bset = set(piece.boundary)
+        for table in (ddg.int_tables[piece.id], ddg.ext_tables[piece.id]):
+            for entry in table.values():
+                assert entry.direct == bset.isdisjoint(
+                    entry.interior_vertices())
+                seen[entry.direct] += 1
+    assert seen[True] > 0 and seen[False] > 0
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_GRAPHS))
+def test_direct_arcs_give_all_entry_tables(name):
+    g = DIRECT_GRAPHS[name]()
+    sd = recursive_subdivide(g)
+    ddg = build_ddgs(sd)
+    ref_int, ref_ext = reference_ddgs(sd, ddg)
+    for pid in range(len(sd.pieces)):
+        for have, want in ((ddg.int_tables[pid], ref_int[pid]),
+                           (ddg.ext_tables[pid], ref_ext[pid])):
+            assert set(have) == set(want)
+            for key, entry in have.items():
+                assert entry.weight == want[key].weight
+                assert entry.darts() == want[key].darts()
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_GRAPHS))
+def test_assembly_never_compares_a_path_with_itself(name, monkeypatch):
+    g = DIRECT_GRAPHS[name]()
+    sd = recursive_subdivide(g)
+    results = []
+    inner = weights.compare_chains
+
+    def recording(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        results.append(out)
+        return out
+
+    monkeypatch.setattr(weights, "compare_chains", recording)
+    build_ddgs(sd)
+    assert 0 not in results

@@ -297,6 +297,25 @@ def test_load_rejects_other_files(tmp_path):
         MinCutOracle.load(str(p))
 
 
+def truncation_offsets(size: int) -> list[int]:
+    """Cut points in every section of a saved oracle: the magic, the
+    header, the tree edges, the cycle tables and the dart map."""
+    return sorted({0, 2, 4, 6, 8, 20, 32, size // 3, size // 2, size - 9,
+                   size - 1} | set(range(4, size, max(1, size // 40))))
+
+
+@pytest.mark.parametrize("mode", ["cut", "mcb"])
+def test_load_rejects_truncated_files(tmp_path, grid3, mode):
+    p = tmp_path / "whole.pco"
+    build_oracle(grid3, mode=mode).save(str(p))
+    data = p.read_bytes()
+    cut = tmp_path / "cut.pco"
+    for size in truncation_offsets(len(data)):
+        cut.write_bytes(data[:size])
+        with pytest.raises(InputError):
+            MinCutOracle.load(str(cut))
+
+
 # -- input validation -------------------------------------------------------------
 
 def test_query_validation(delaunay12, delaunay12_oracle):

@@ -1,7 +1,8 @@
 import pytest
 
+from _search_reference import ddg_dijkstra, graph_adjacency
 from planarcut.baseline import dinic_min_cut
-from planarcut.ddg import build_ddgs, ddg_dijkstra, graph_adjacency
+from planarcut.ddg import build_ddgs
 from planarcut.generators import (grid_graph, random_delaunay_graph,
                                   theta_graph)
 from planarcut.planar_core import dual
