@@ -1,13 +1,13 @@
-"""Rooted dynamic forest with logarithmic link, cut and path queries.
+"""Rooted dynamic forest with logarithmic link, cut and ancestry queries.
 
-Splay-based link-cut trees specialised to rooted forests: trees are never
-re-rooted, so no reversal flags are needed.  Besides the usual link/cut/lca
-the structure answers depth, ancestor-at-depth (hence "jump one step from an
-ancestor toward a descendant"), descendant tests and a minimum over node
-values on the root-to-node path.
-
-Region maintenance uses these to pay O(log n) per relocation instead of
-rebuilding parent chains.
+Splay-based link-cut trees (Sleator and Tarjan) specialised to rooted
+forests: trees are never re-rooted, so no reversal flags are needed.  Root,
+depth, lca, ancestor-at-depth, descendant tests and `child_toward` (the
+child of an ancestor on the path to a descendant) each cost at most two
+exposes.  Splay nodes carry only subtree sizes: no values, no path minima.
+The forest counts its trees, so `same_tree`, the guard of `lca` and
+`is_descendant`, is free while the forest is one tree (as a build's region
+tree always is) and compares roots otherwise.
 """
 
 from __future__ import annotations
@@ -19,28 +19,16 @@ from .errors import (AlreadyRoot, CycleWouldForm, DifferentTrees, DOutOfRange,
 
 
 class _Node:
-    __slots__ = ("item", "par", "pp", "left", "right", "sz", "val", "mn",
-                 "mn_node", "parent_item")
+    __slots__ = ("item", "par", "pp", "left", "right", "sz", "parent_item")
 
-    def __init__(self, item, val):
+    def __init__(self, item):
         self.item = item
         self.par: "_Node | None" = None     # splay parent
         self.pp: "_Node | None" = None      # path parent
         self.left: "_Node | None" = None
         self.right: "_Node | None" = None
         self.sz = 1
-        self.val = val
-        self.mn = val
-        self.mn_node: "_Node" = self
         self.parent_item = None             # represented-tree parent (item)
-
-
-def _lt(a, b) -> bool:
-    if a is None:
-        return False
-    if b is None:
-        return True
-    return a < b
 
 
 class DynamicTree:
@@ -48,20 +36,16 @@ class DynamicTree:
 
     def __init__(self):
         self._nodes: dict[Hashable, _Node] = {}
+        self._trees = 0
         self.op_count = 0
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def add_node(self, item: Hashable, value=None) -> None:
+    def add_node(self, item: Hashable) -> None:
         if item in self._nodes:
             raise InputError(f"node {item!r} exists")
-        self._nodes[item] = _Node(item, value)
-
-    def __contains__(self, item: Hashable) -> bool:
-        return item in self._nodes
-
-    def __len__(self) -> int:
-        return len(self._nodes)
+        self._nodes[item] = _Node(item)
+        self._trees += 1
 
     def _get(self, item: Hashable) -> _Node:
         try:
@@ -73,25 +57,12 @@ class DynamicTree:
 
     @staticmethod
     def _update(x: _Node) -> None:
-        x.sz = 1
+        sz = 1
         if x.left is not None:
-            x.sz += x.left.sz
+            sz += x.left.sz
         if x.right is not None:
-            x.sz += x.right.sz
-        # in-order scan so ties resolve to the node nearest the root
-        mn, mn_node = None, x
-        if x.left is not None and x.left.mn is not None:
-            mn, mn_node = x.left.mn, x.left.mn_node
-        if x.val is not None and _lt(x.val, mn):
-            mn, mn_node = x.val, x
-        if x.right is not None and _lt(x.right.mn, mn):
-            mn, mn_node = x.right.mn, x.right.mn_node
-        x.mn = mn
-        x.mn_node = mn_node
-
-    @staticmethod
-    def _is_splay_root(x: _Node) -> bool:
-        return x.par is None
+            sz += x.right.sz
+        x.sz = sz
 
     def _rotate(self, x: _Node) -> None:
         p = x.par
@@ -119,7 +90,7 @@ class DynamicTree:
         self._update(x)
 
     def _splay(self, x: _Node) -> None:
-        while not self._is_splay_root(x):
+        while x.par is not None:
             p = x.par
             g = p.par
             if g is not None:
@@ -131,7 +102,8 @@ class DynamicTree:
 
     def _expose(self, x: _Node) -> _Node:
         """Make the root-to-x path preferred; returns the last path-parent
-        switch point, which is lca(previous exposed node, x)."""
+        switch point, which is lca(previous exposed node, x) when both lie
+        in one tree."""
         self.op_count += 1
         self._splay(x)
         if x.right is not None:
@@ -155,6 +127,21 @@ class DynamicTree:
             self._splay(x)
         return last
 
+    def _at_depth(self, x: _Node, k: int) -> _Node:
+        """Node at depth k on the path of the just-exposed node x, splayed
+        to the top of that path's splay tree."""
+        while True:
+            lsz = x.left.sz if x.left is not None else 0
+            if k < lsz:
+                x = x.left
+            elif k == lsz:
+                break
+            else:
+                k -= lsz + 1
+                x = x.right
+        self._splay(x)
+        return x
+
     # -- forest operations -------------------------------------------------------
 
     def link(self, child: Hashable, parent: Hashable) -> None:
@@ -162,12 +149,14 @@ class DynamicTree:
         p = self._get(parent)
         if c.parent_item is not None:
             raise InputError(f"{child!r} already has a parent")
-        if self.root_of(parent) == child:
-            raise CycleWouldForm(f"{parent!r} is below {child!r}")
+        # child is a root, so it is the lca of itself and parent exactly
+        # when parent lies below it
         self._expose(c)
-        self._expose(p)
+        if self._expose(p) is c:
+            raise CycleWouldForm(f"{parent!r} is below {child!r}")
         c.pp = p
         c.parent_item = parent
+        self._trees -= 1
 
     def cut(self, child: Hashable) -> None:
         c = self._get(child)
@@ -181,6 +170,7 @@ class DynamicTree:
         c.left = None
         self._update(c)
         c.parent_item = None
+        self._trees += 1
 
     def parent_of(self, item: Hashable):
         return self._get(item).parent_item
@@ -188,10 +178,7 @@ class DynamicTree:
     def root_of(self, item: Hashable):
         x = self._get(item)
         self._expose(x)
-        while x.left is not None:
-            x = x.left
-        self._splay(x)
-        return x.item
+        return self._at_depth(x, 0).item
 
     def depth(self, item: Hashable) -> int:
         x = self._get(item)
@@ -199,17 +186,20 @@ class DynamicTree:
         return x.left.sz if x.left is not None else 0
 
     def same_tree(self, a: Hashable, b: Hashable) -> bool:
+        self._get(a)
+        self._get(b)
+        if self._trees == 1:
+            return True
         return self.root_of(a) == self.root_of(b)
 
     def lca(self, a: Hashable, b: Hashable):
         if a == b:
             self._get(a)
             return a
-        na, nb = self._get(a), self._get(b)
         if not self.same_tree(a, b):
             raise DifferentTrees(f"{a!r} and {b!r}")
-        self._expose(na)
-        return self._expose(nb).item
+        self._expose(self._nodes[a])
+        return self._expose(self._nodes[b]).item
 
     def is_descendant(self, ancestor: Hashable, item: Hashable) -> bool:
         """True when `item` lies in the subtree of `ancestor` (inclusively)."""
@@ -218,7 +208,9 @@ class DynamicTree:
             return True
         if not self.same_tree(ancestor, item):
             return False
-        return self.lca(ancestor, item) == ancestor
+        a = self._nodes[ancestor]
+        self._expose(a)
+        return self._expose(self._nodes[item]) is a
 
     def ancestor_at_depth(self, item: Hashable, k: int):
         x = self._get(item)
@@ -226,42 +218,22 @@ class DynamicTree:
         d = x.left.sz if x.left is not None else 0
         if not 0 <= k <= d:
             raise DOutOfRange(f"depth {k} not on the path to {item!r}")
-        while True:
-            lsz = x.left.sz if x.left is not None else 0
-            if k < lsz:
-                x = x.left
-            elif k == lsz:
-                break
-            else:
-                k -= lsz + 1
-                x = x.right
-        self._splay(x)
-        return x.item
+        return self._at_depth(x, k).item
 
-    def jump(self, ancestor: Hashable, item: Hashable, steps: int = 1):
-        """Node `steps` below `ancestor` on the path toward descendant `item`."""
-        if not self.is_descendant(ancestor, item):
-            raise DOutOfRange(f"{ancestor!r} is not an ancestor of {item!r}")
-        d = self.depth(ancestor)
-        return self.ancestor_at_depth(item, d + steps)
-
-    # -- values ---------------------------------------------------------------
-
-    def set_value(self, item: Hashable, value) -> None:
+    def child_toward(self, ancestor: Hashable, item: Hashable):
+        """Child of `ancestor` on the path to `item`, or None when `item` is
+        not a proper descendant of `ancestor` (in any tree)."""
+        a = self._get(ancestor)
         x = self._get(item)
-        self._splay(x)
-        x.val = value
-        self._update(x)
-
-    def get_value(self, item: Hashable):
-        return self._get(item).val
-
-    def path_min(self, item: Hashable):
-        """(value, node item) minimising the value over the root..item path;
-        nodes with value None do not compete."""
-        x = self._get(item)
+        if a is x:
+            return None
+        self._expose(a)
+        k = a.left.sz if a.left is not None else 0
         self._expose(x)
-        self._splay(x)
-        if x.mn is None:
-            return None, None
-        return x.mn, x.mn_node.item
+        if x.left is None or x.left.sz <= k:
+            return None
+        if self._at_depth(x, k) is not a:
+            return None
+        # a now tops the splay tree of the root-to-item path, so its
+        # in-order successor is the next node down that path
+        return self._at_depth(a.right, 0).item

@@ -46,10 +46,6 @@ class SameVertex(InputError):
     """Operation needs two distinct vertices."""
 
 
-class SameFace(InputError):
-    """Operation needs two distinct faces."""
-
-
 # -- paths / weights -------------------------------------------------------
 
 class EndpointMismatch(InputError):
@@ -81,17 +77,13 @@ class DifferentTrees(InputError):
 
 
 class DOutOfRange(InputError):
-    """jump() distance exceeds the path length."""
+    """A depth or child request leaves the root-to-node path."""
 
 
 # -- region tree / separating cycles ----------------------------------------
 
 class InductionViolated(InternalAssertion):
     """More than one unseparated face pair found in a region."""
-
-
-class CycleCrossesBasis(InternalAssertion):
-    """A candidate cycle crosses an existing basis cycle."""
 
 
 class NotSeparating(InternalAssertion):

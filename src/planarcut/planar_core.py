@@ -130,21 +130,10 @@ class PlanarEmbedding:
     def dart_weight(self, d: int) -> TieBreakWeight:
         return self.weights[d >> 1]
 
-    def next_around_vertex(self, d: int) -> int:
-        """Next dart with the same head, clockwise around it."""
-        rot = self.out[self.head[d]]
-        return rot[(self.slot_of[d ^ 1] + 1) % len(rot)] ^ 1
-
     def degree(self, v: int) -> int:
         if not 0 <= v < self.n:
             raise UnknownVertex(f"vertex {v}")
         return len(self.out[v])
-
-    def out_darts(self, v: int) -> list[int]:
-        return self.out[v]
-
-    def face_size(self, f: int) -> int:
-        return len(self.faces[f])
 
     def face_vertices(self, f: int) -> list[int]:
         return [self.head[d] for d in self.faces[f]]
@@ -186,12 +175,6 @@ class PlanarEmbedding:
                     stack.append(w)
         if count != self.n:
             raise Disconnected(f"{self.n - count} vertices unreachable from 0")
-
-    def total_weight(self) -> TieBreakWeight:
-        t = TieBreakWeight.zero()
-        for w in self.weights:
-            t = t + w
-        return t
 
     def __repr__(self) -> str:
         return f"PlanarEmbedding(n={self.n}, m={self.m}, f={len(self.faces)})"

@@ -9,10 +9,15 @@ lockstep, so only the smaller side's area is traversed and relocated; which
 side is the enclosed one is settled by a crossing-parity walk on a static
 dual spanning tree.
 
-Ancestry queries (lca, jump, descendant tests) run on a link-cut forest and
-drive the edge classification rules: an edge's home region is the lca of its
-two adjacent faces, and an edge lies on a region's bounding cycle exactly when
-that region separates the edge's faces.
+Ancestry queries (lca, child toward a descendant, descendant tests) run on
+a link-cut forest and drive the edge classification rules: an edge's home
+region is the lca of its two adjacent faces, and an edge lies on a region's
+bounding cycle exactly when that region separates the edge's faces.
+
+Nothing relocates while an insertion searches, so it asks the forest once
+per face for the face's class: the child of the split region toward it, or
+None outside.  Edge membership follows from the two classes (`_in_region`),
+and the classes met are the members to move.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from __future__ import annotations
 from collections import deque
 
 from .dynamic_tree import DynamicTree
-from .errors import (InductionViolated, InternalAssertion, NotSeparating,
-                     UnknownEdge)
+from .errors import (DOutOfRange, InductionViolated, InternalAssertion,
+                     NotSeparating, UnknownEdge)
 from .planar_core import PlanarEmbedding
 from .weights import TieBreakWeight
 
@@ -166,7 +171,10 @@ class RegionTree:
 
     def jump_child(self, region: int, node: int) -> int:
         """Child of `region` on the path toward descendant `node`."""
-        return self.dt.jump(region, node, 1)
+        child = self.dt.child_toward(region, node)
+        if child is None:
+            raise DOutOfRange(f"{region} is not a proper ancestor of {node}")
+        return child
 
     def is_descendant(self, anc: int, node: int) -> bool:
         return self.dt.is_descendant(anc, node)
@@ -181,10 +189,12 @@ class RegionTree:
         return self.lca(f1, f2)
 
     def is_boundary_edge(self, e: int, region: int) -> bool:
+        """Whether e lies on the region's bounding cycle: the region holds
+        exactly one of e's faces (its home region is then a proper
+        ancestor of the region)."""
         f1 = self.g.face_of[2 * e]
         f2 = self.g.face_of[2 * e + 1]
-        home = self.lca(f1, f2) if f1 != f2 else self.parent(f1)
-        if home == region or not self.is_descendant(home, region):
+        if f1 == f2:
             return False
         return self.is_descendant(region, f1) != self.is_descendant(region, f2)
 
@@ -198,9 +208,6 @@ class RegionTree:
             f = self._dual_parent[f]
         return parity
 
-    def unseparated_faces(self, region: int) -> list[int]:
-        return [c for c in self.children[region] if not self.is_region(c)]
-
     def complete(self) -> bool:
         return all(self.face_child_count[r] == 1 for r in self.children)
 
@@ -211,13 +218,9 @@ class RegionTree:
         child bounding cycles, or the region's own bounding cycle)."""
         f1 = self.g.face_of[2 * e]
         f2 = self.g.face_of[2 * e + 1]
-        d1 = self.is_descendant(region, f1)
-        d2 = self.is_descendant(region, f2)
-        if d1 != d2:
-            return True
-        if not d1:
-            return False
-        return (self.lca(f1, f2) if f1 != f2 else self.parent(f1)) == region
+        c1 = self.dt.child_toward(region, f1)
+        c2 = c1 if f1 == f2 else self.dt.child_toward(region, f2)
+        return _in_region(f1, f2, c1, c2)
 
     # -- insertion ----------------------------------------------------------------
 
@@ -232,11 +235,12 @@ class RegionTree:
         darts = cycle.darts()
         edges_c = cycle.edge_ids()
         f, gface = pair
-        if not (self.is_descendant(region, f) and self.is_descendant(region, gface)):
+        classes = _FaceClasses(self.dt, region)
+        if classes[f] is None or classes[gface] is None:
             raise NotSeparating("pair does not live under the region")
 
         side_darts = self._side_third_darts(darts)
-        got = self._lockstep_search(region, edges_c, side_darts)
+        got = self._lockstep_search(classes, edges_c, side_darts)
         small_side, members, witness_faces = got
 
         if witness_faces:
@@ -248,8 +252,7 @@ class RegionTree:
             if not flank:
                 raise InternalAssertion("cycle side has no adjacent faces")
             inside = self.enclosed_parity(flank[0], edges_c)
-            members = {self.jump_child(region, x) for x in flank
-                       if self.is_descendant(region, x)}
+            members = {classes[x] for x in flank} - {None}
 
         # move `members` under a fresh region node
         new_region = self._next_region
@@ -336,9 +339,10 @@ class RegionTree:
                 j = (j + 1) % deg
         return side_a, side_b
 
-    def _lockstep_search(self, region: int, edges_c: frozenset,
+    def _lockstep_search(self, classes: "_FaceClasses", edges_c: frozenset,
                          side_darts) -> tuple[int, set, list]:
         g = self.g
+        face_of = g.face_of
         fronts = [deque(side_darts[0]), deque(side_darts[1])]
         seen: list[set] = [set(), set()]
         witness: list[list] = [[], []]
@@ -357,15 +361,19 @@ class RegionTree:
                         continue
                     if e in seen[1 - s]:
                         raise InternalAssertion("cycle sides leaked into each other")
-                    if not self.edge_in_region(e, region):
+                    f1 = face_of[2 * e]
+                    f2 = face_of[2 * e + 1]
+                    c1 = classes[f1]
+                    c2 = classes[f2]
+                    if not _in_region(f1, f2, c1, c2):
                         continue
                     seen[s].add(e)
                     self.stats["search_edges"] += 1
-                    for fid in (g.face_of[2 * e], g.face_of[2 * e + 1]):
-                        if self.is_descendant(region, fid):
+                    for fid, c in ((f1, c1), (f2, c2)):
+                        if c is not None:
                             if len(witness[s]) < 4:
                                 witness[s].append(fid)
-                            members[s].add(self.jump_child(region, fid))
+                            members[s].add(c)
                     for x in g.endpoints(e):
                         fronts[s].extend(g.out[x])
                     advanced = True
@@ -396,6 +404,34 @@ class RegionTree:
                 seen.add(fid)
                 uniq.append(fid)
         return uniq
+
+
+class _FaceClasses(dict):
+    """Face -> child of `region` on the path to it (None outside the
+    region), asked of the forest once per face while nothing relocates."""
+
+    __slots__ = ("dt", "region")
+
+    def __init__(self, dt: DynamicTree, region: int):
+        super().__init__()
+        self.dt = dt
+        self.region = region
+
+    def __missing__(self, face: int):
+        c = self[face] = self.dt.child_toward(self.region, face)
+        return c
+
+
+def _in_region(f1: int, f2: int, c1, c2) -> bool:
+    """Whether the edge between faces f1 and f2 belongs to a region's closed
+    graph, given each face's class (child of the region toward it, or None
+    outside).  An edge with one face inside lies on the bounding cycle; one
+    with both inside is interior or on a child's cycle exactly when the
+    region is its home: the lca of two distinct faces, or the parent of a
+    face on both sides."""
+    if c1 is None or c2 is None:
+        return c1 is not c2
+    return c1 != c2 if f1 != f2 else c1 == f1
 
 
 def _orient_edge_cycle(g: PlanarEmbedding, edge_ids) -> list[int]:

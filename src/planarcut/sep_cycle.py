@@ -444,6 +444,17 @@ def min_separating_cycle_fast(ctx: PieceContext, region: int,
     With `external_route` the arcs leaving the piece are never expanded:
     arcs whose endpoints fall in different pockets of the cut complement
     become cycle closers instead.  Both routes return the same cycle.
+
+    Otherwise only direct table entries enter the universe as compact arcs;
+    arcs touching X are expanded whatever their kind.  This is exact.  Take
+    a non-direct entry s->t through a boundary vertex x of the owning piece
+    that does not touch X.  Canonical paths have canonical subpaths, so its
+    entries s->x and x->t are in the same table, with the same end darts as
+    the parent at s and at t.  Their interiors lie inside the parent's
+    interior, and x is not on X, so neither touches X: both enter as
+    compact arcs (recursively, down to direct ones) and their concatenation
+    spells the same darts.  `has_vertex` sees no difference either, since
+    the entry from s has the same source node as the parent.
     """
     g = ctx.g
     tree = ctx.tree
@@ -487,7 +498,7 @@ def min_separating_cycle_fast(ctx: PieceContext, region: int,
             if _arc_touches_cut(entry, xcut):
                 universe.add_real(d >> 1 for d in entry.darts())
                 stats["expanded_arcs"] += 1
-            else:
+            elif entry.direct:
                 universe.add_arc(entry)
                 stats["compact_arcs"] += 1
 
@@ -511,7 +522,7 @@ def min_separating_cycle_fast(ctx: PieceContext, region: int,
         elif _arc_touches_cut(entry, xcut):
             universe.add_real(d >> 1 for d in entry.darts())
             stats["expanded_arcs"] += 1
-        else:
+        elif entry.direct:
             universe.add_arc(entry)
             stats["compact_arcs"] += 1
 

@@ -1,8 +1,13 @@
 """Reference searches shared by the tests: plain dart adjacencies of the
-embedding and a lexicographic search that returns table entries."""
+embedding and a lexicographic search that returns table entries; plus a
+graph with parallel edges and zero weights."""
+
+import random
 
 from planarcut.ddg import dart_entry, entry_from_chain, entry_hop, hop_interior
-from planarcut.weights import lex_dijkstra
+from planarcut.generators import grid_graph
+from planarcut.planar_core import build_embedding
+from planarcut.weights import TieBreakWeight, lex_dijkstra
 
 
 def graph_adjacency(g, edges=None) -> dict:
@@ -29,3 +34,22 @@ def ddg_dijkstra(adj: dict, sources, targets=None) -> dict:
                        expand_interior=hop_interior, targets=targets)
     return {node: entry_from_chain(chain, ()) if chain.nedges > 0 else None
             for node, chain in res.items()}
+
+
+def parallel_zero_graph():
+    """4 x 4 grid with every third edge doubled beside itself (same weight)
+    and every fourth edge of weight zero."""
+    g = grid_graph(4, 4, rng=random.Random(5))
+    edges = [g.endpoints(e) for e in range(g.m)]
+    weights = list(g.weights)
+    rotations = [[d >> 1 for d in g.out[v]] for v in range(g.n)]
+    for e in range(0, g.m, 3):
+        u, v = edges[e]
+        twin = len(edges)
+        edges.append((u, v))
+        weights.append(weights[e])
+        rotations[u].insert(rotations[u].index(e) + 1, twin)
+        rotations[v].insert(rotations[v].index(e), twin)
+    weights = [TieBreakWeight.of(0) if e % 4 == 0 else w
+               for e, w in enumerate(weights)]
+    return build_embedding(g.n, edges, weights, rotations)

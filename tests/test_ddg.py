@@ -1,13 +1,11 @@
-import random
-
 import pytest
 
-from _search_reference import ddg_dijkstra, graph_adjacency
+from _search_reference import (ddg_dijkstra, graph_adjacency,
+                               parallel_zero_graph)
 from planarcut import weights
 from planarcut.ddg import build_ddgs, entry_hop, table_adjacency
 from planarcut.generators import (grid_graph, random_delaunay_graph,
                                   random_grid_subgraph)
-from planarcut.planar_core import build_embedding
 from planarcut.subdivision import recursive_subdivide
 from planarcut.weights import TieBreakWeight
 
@@ -155,25 +153,6 @@ def test_union_adjacency_search_spans_pieces():
 
 # ---------------------------------------------------------------------------
 # direct entries: the only table entries the assembly searches over
-
-
-def parallel_zero_graph():
-    """4 x 4 grid with every third edge doubled beside itself (same weight)
-    and every fourth edge of weight zero."""
-    g = grid_graph(4, 4, rng=random.Random(5))
-    edges = [g.endpoints(e) for e in range(g.m)]
-    weights = list(g.weights)
-    rotations = [[d >> 1 for d in g.out[v]] for v in range(g.n)]
-    for e in range(0, g.m, 3):
-        u, v = edges[e]
-        twin = len(edges)
-        edges.append((u, v))
-        weights.append(weights[e])
-        rotations[u].insert(rotations[u].index(e) + 1, twin)
-        rotations[v].insert(rotations[v].index(e), twin)
-    weights = [TieBreakWeight.of(0) if e % 4 == 0 else w
-               for e, w in enumerate(weights)]
-    return build_embedding(g.n, edges, weights, rotations)
 
 
 DIRECT_GRAPHS = {

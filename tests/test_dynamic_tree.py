@@ -4,17 +4,15 @@ import pytest
 
 from planarcut.dynamic_tree import DynamicTree
 from planarcut.errors import (AlreadyRoot, CycleWouldForm, DifferentTrees,
-                              DOutOfRange, InputError)
+                              DOutOfRange, InputError, UnknownVertex)
 
 
 class NaiveForest:
     def __init__(self):
         self.parent = {}
-        self.value = {}
 
-    def add_node(self, v, value=None):
+    def add_node(self, v):
         self.parent[v] = None
-        self.value[v] = value
 
     def link(self, c, p):
         self.parent[c] = p
@@ -48,13 +46,11 @@ class NaiveForest:
         path = self.path_to_root(v)[::-1]
         return path[k]
 
-    def path_min(self, v):
-        best, who = None, None
-        for x in reversed(self.path_to_root(v)):
-            val = self.value[x]
-            if val is not None and (best is None or val < best):
-                best, who = val, x
-        return best, who
+    def child_toward(self, anc, v):
+        path = self.path_to_root(v)
+        if anc not in path[1:]:
+            return None
+        return path[path.index(anc) - 1]
 
 
 def test_basic_shape():
@@ -74,8 +70,10 @@ def test_basic_shape():
     assert not t.is_descendant(2, 4)
     assert t.ancestor_at_depth(4, 0) == 0
     assert t.ancestor_at_depth(4, 2) == 3
-    assert t.jump(0, 4, 1) == 1
-    assert t.jump(1, 4, 1) == 3
+    assert t.child_toward(0, 4) == 1
+    assert t.child_toward(1, 4) == 3
+    assert t.child_toward(2, 4) is None
+    assert t.child_toward(4, 4) is None
     t.cut(3)
     assert t.root_of(4) == 3
     assert t.depth(4) == 1
@@ -96,25 +94,42 @@ def test_error_conditions():
         t.cut(0)
     with pytest.raises(DOutOfRange):
         t.ancestor_at_depth(1, 5)
-    with pytest.raises(DOutOfRange):
-        t.jump(1, 0, 1)
+    assert t.child_toward(1, 0) is None
+    assert t.child_toward(2, 0) is None
+    with pytest.raises(UnknownVertex):
+        t.child_toward(0, 7)
     with pytest.raises(InputError):
         t.add_node(1)
 
 
-def test_path_min_tracks_values():
-    t = DynamicTree()
-    vals = {0: 5, 1: 3, 2: 9, 3: None, 4: 4}
-    for v, x in vals.items():
-        t.add_node(v, x)
-    for c, p in ((1, 0), (2, 1), (3, 2), (4, 3)):
-        t.link(c, p)
-    assert t.path_min(4) == (3, 1)
-    t.set_value(1, 10)
-    assert t.path_min(4) == (4, 4)
-    assert t.path_min(3) == (5, 0)
-    t.set_value(3, 1)
-    assert t.path_min(4) == (1, 3)
+def check_queries(t, ref, rng, N):
+    a, b = rng.randrange(N), rng.randrange(N)
+    assert t.root_of(a) == ref.root_of(a)
+    assert t.depth(a) == ref.depth(a)
+    same = ref.root_of(a) == ref.root_of(b)
+    assert t.same_tree(a, b) == same
+    if same:
+        assert t.lca(a, b) == ref.lca(a, b)
+    else:
+        with pytest.raises(DifferentTrees):
+            t.lca(a, b)
+    assert t.is_descendant(a, b) == ref.is_descendant(a, b)
+    k = rng.randint(0, ref.depth(a))
+    assert t.ancestor_at_depth(a, k) == ref.ancestor_at_depth(a, k)
+    assert t.child_toward(a, b) == ref.child_toward(a, b)
+    anc = ref.ancestor_at_depth(b, rng.randint(0, ref.depth(b)))
+    assert t.child_toward(anc, b) == ref.child_toward(anc, b)
+    assert t.child_toward(a, a) is None
+
+
+def relink(t, ref, rng, N, c):
+    """Hang root c under a random node outside its subtree."""
+    while True:
+        p = rng.randrange(N)
+        if not ref.is_descendant(c, p):
+            t.link(c, p)
+            ref.link(c, p)
+            return
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -124,10 +139,10 @@ def test_model_random_operations(seed):
     t = DynamicTree()
     ref = NaiveForest()
     for v in range(N):
-        val = rng.choice([None, rng.randint(0, 99)])
-        t.add_node(v, val)
-        ref.add_node(v, val)
+        t.add_node(v)
+        ref.add_node(v)
 
+    # a forest of many trees
     for step in range(600):
         op = rng.random()
         if op < 0.35:
@@ -142,26 +157,27 @@ def test_model_random_operations(seed):
                 c = rng.choice(linked)
                 t.cut(c)
                 ref.cut(c)
-        elif op < 0.6:
-            v = rng.randrange(N)
-            val = rng.choice([None, rng.randint(0, 99)])
-            t.set_value(v, val)
-            ref.value[v] = val
         else:
-            a, b = rng.randrange(N), rng.randrange(N)
-            assert t.root_of(a) == ref.root_of(a)
-            assert t.depth(a) == ref.depth(a)
-            same = ref.root_of(a) == ref.root_of(b)
-            if same:
-                assert t.lca(a, b) == ref.lca(a, b)
-            assert t.is_descendant(a, b) == ref.is_descendant(a, b)
-            k = rng.randint(0, ref.depth(a))
-            assert t.ancestor_at_depth(a, k) == ref.ancestor_at_depth(a, k)
-            assert t.path_min(a) == ref.path_min(a)
+            assert len({ref.root_of(v) for v in range(N)}) > 1
+            check_queries(t, ref, rng, N)
+
+    # join everything into one tree, then move subtrees around: queries
+    # alternate between one tree and two
+    top = ref.root_of(0)
+    for v in range(N):
+        if v != top and ref.parent[v] is None:
+            relink(t, ref, rng, N, v)
+    for step in range(300):
+        assert len({ref.root_of(v) for v in range(N)}) == 1
+        check_queries(t, ref, rng, N)
+        c = rng.choice([v for v in range(N) if ref.parent[v] is not None])
+        t.cut(c)
+        ref.cut(c)
+        check_queries(t, ref, rng, N)
+        relink(t, ref, rng, N, c)
 
     for v in range(N):
         assert t.depth(v) == ref.depth(v)
-        assert t.path_min(v) == ref.path_min(v)
 
 
 def test_operation_counter_moves():

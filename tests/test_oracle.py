@@ -3,11 +3,13 @@ from itertools import combinations
 
 import pytest
 
+from _search_reference import parallel_zero_graph
 from planarcut import baseline
 from planarcut.errors import (InputError, SameVertex, TooSmall,
                               UnknownVertex)
 from planarcut.generators import (grid_graph, random_delaunay_graph,
-                                  theta_graph, triangle_graph)
+                                  random_grid_subgraph, theta_graph,
+                                  triangle_graph)
 from planarcut.oracle import MinCutOracle, PathMinIndex, build_oracle
 
 
@@ -69,8 +71,19 @@ def test_gh_tree_shape(delaunay12, delaunay12_oracle):
             baseline.gh_query(parent, fl, s, t)
 
 
-def test_engines_agree_during_build(delaunay12):
-    orc = build_oracle(delaunay12, cross_check=True)
+CROSS_CHECK_GRAPHS = {
+    "delaunay": lambda: random_delaunay_graph(12, seed=0),
+    "strip": lambda: grid_graph(3, 24, rng=random.Random(3)),
+    "sparse": lambda: random_grid_subgraph(4, 5, seed=13, keep=0.5),
+    "parallel-zero": parallel_zero_graph,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROSS_CHECK_GRAPHS))
+def test_engines_agree_during_build(name):
+    # the safe engine reads no distance tables, so this also checks which
+    # table arcs the fast engine's crossing sweep may leave out
+    orc = build_oracle(CROSS_CHECK_GRAPHS[name](), cross_check=True)
     assert orc.stats["cross_checks"] == orc.stats["inserts"]
     assert orc.stats["inserts"] > 0
 

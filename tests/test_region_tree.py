@@ -4,8 +4,9 @@ from itertools import permutations
 
 import pytest
 
-from planarcut.errors import InductionViolated, NotSeparating
-from planarcut.generators import grid_graph, random_delaunay_graph
+from planarcut.errors import DOutOfRange, InductionViolated, NotSeparating
+from planarcut.generators import (embedding_from_coordinates, grid_graph,
+                                  random_delaunay_graph)
 from planarcut.region_tree import (CompactCycle, RegionTree, region_subpiece,
                                    regions_with_unseparated_pair)
 
@@ -64,6 +65,9 @@ def test_star_init(tri):
     assert tree.face_child_count[tree.root] == 2
     assert not tree.complete()
     assert tree.lca(0, 1) == tree.root
+    assert tree.jump_child(tree.root, 1) == 1
+    with pytest.raises(DOutOfRange):
+        tree.jump_child(0, 1)
     for e in range(tri.m):
         assert tree.edge_home_region(e) == tree.root
         assert not tree.is_boundary_edge(e, tree.root)
@@ -205,3 +209,103 @@ def test_region_subpiece_runs(grid3):
     assert len(runs) == 1, "wrap-around run must be stitched"
     assert [d >> 1 for d in runs[0]] == [darts[-1] >> 1, darts[0] >> 1,
                                          darts[1] >> 1]
+
+
+# -- face classes during builds ------------------------------------------------
+
+def face_ancestors(tree):
+    """Face -> its ancestors, nearest first, by walking parent pointers."""
+    out = {}
+    for f in range(tree.n_faces):
+        up = [f]
+        while tree.parent(up[-1]) is not None:
+            up.append(tree.parent(up[-1]))
+        out[f] = up
+    return out
+
+
+def reference_edge_in_region(g, ups, e, region):
+    """An edge belongs to a region when exactly one face is below it, or
+    both are and the region is the edge's home (lca of its faces, or the
+    parent of a face on both sides)."""
+    f1, f2 = g.face_of[2 * e], g.face_of[2 * e + 1]
+    up1, up2 = ups[f1], ups[f2]
+    d1, d2 = region in up1, region in up2
+    if d1 != d2:
+        return True
+    if not d1:
+        return False
+    if f1 == f2:
+        return up1[1] == region
+    on2 = set(up2)
+    return next(x for x in up1 if x in on2) == region
+
+
+def check_edge_in_region(tree):
+    ups = face_ancestors(tree)
+    for r in tree.children:
+        for e in range(tree.g.m):
+            assert tree.edge_in_region(e, r) == \
+                reference_edge_in_region(tree.g, ups, e, r), (e, r)
+
+
+def test_edge_in_region_with_a_bridge():
+    """A pendant edge inside a square has that face on both sides; it
+    belongs to the face's parent region only, not to the regions above."""
+    base = grid_graph(3, 3)
+    pts = [(float(c), float(r)) for r in range(3) for c in range(3)]
+    edges = [base.endpoints(e) for e in range(base.m)] + [(4, 9)]
+    g = embedding_from_coordinates(pts + [(0.5, 0.5)], edges)
+    bridge = g.m - 1
+    assert g.face_of[2 * bridge] == g.face_of[2 * bridge + 1]
+    tree = RegionTree(g)
+    squares = finite_faces(g)
+    ring = sorted({d >> 1 for d in g.faces[g.infinite_face]})
+    cyc = CompactCycle.from_darts(g, orient(g, ring))
+    tree.insert_cycle(cyc, tree.root, (squares[0], g.infinite_face))
+    check_edge_in_region(tree)
+    for f in squares:
+        if bridge not in face_edges(g, f):
+            insert_face_boundary(tree, f)
+            check_edge_in_region(tree)
+    home = tree.parent(g.face_of[2 * bridge])
+    assert tree.parent(home) is not None
+    assert [r for r in tree.children if tree.edge_in_region(bridge, r)] == [home]
+
+
+@pytest.mark.parametrize("name", ["strip", "delaunay"])
+def test_build_classifies_each_face_once_per_insert(name, monkeypatch):
+    from planarcut.dynamic_tree import DynamicTree
+    from planarcut.oracle import build_oracle
+
+    g = (grid_graph(3, 16, rng=random.Random(5)) if name == "strip"
+         else random_delaunay_graph(12, seed=0))
+    current = [None]
+    asked = []
+    real_child_toward = DynamicTree.child_toward
+    real_insert = RegionTree.insert_cycle
+
+    def child_toward(self, ancestor, item):
+        if current[0] is not None:
+            asked.append((current[0], item))
+        return real_child_toward(self, ancestor, item)
+
+    def insert_cycle(self, *args, **kwargs):
+        current[0] = self.stats["inserts"]
+        try:
+            return real_insert(self, *args, **kwargs)
+        finally:
+            current[0] = None
+
+    checked = [0]
+
+    def hook(tree, cycle, region):
+        check_edge_in_region(tree)
+        checked[0] += 1
+
+    monkeypatch.setattr(DynamicTree, "child_toward", child_toward)
+    monkeypatch.setattr(RegionTree, "insert_cycle", insert_cycle)
+    orc = build_oracle(g, insert_hook=hook)
+    assert checked[0] == orc.stats["inserts"] > 0
+    assert asked
+    assert len(asked) == len(set(asked)), "a face was classified twice"
