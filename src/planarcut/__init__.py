@@ -12,7 +12,7 @@ from .planar_core import (PlanarEmbedding, TransformTrace, add_bounding_cycle,
                           build_embedding, cut_cycle_duality_check,
                           degree_three_transform, dual, subdivide_to_simple,
                           triangulate)
-from .weights import TieBreakWeight, compare_paths
+from .weights import TieBreakWeight
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "add_bounding_cycle",
     "build_embedding",
     "build_oracle",
-    "compare_paths",
     "cut_cycle_duality_check",
     "degree_three_transform",
     "dual",

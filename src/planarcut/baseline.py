@@ -14,7 +14,7 @@ from collections import deque
 
 from .errors import InputError, NoPath, SameVertex, TooLarge
 from .planar_core import PlanarEmbedding, dual, is_simple_cycle
-from .weights import lex_dijkstra, dart_hop
+from .weights import dart_arc, lex_dijkstra
 
 _UNREACHED = -1
 
@@ -208,7 +208,7 @@ def brute_mcb(g: PlanarEmbedding,
     for v in range(g.n):
         for d in g.out[v]:
             if g.head[d] != v:
-                adj_table[v].append(dart_hop(g.head[d], d, g.weights[d >> 1]))
+                adj_table[v].append((g.head[d], dart_arc(g, d)))
     adj = lambda v: adj_table[v]
 
     candidates: dict[frozenset[int], int] = {}

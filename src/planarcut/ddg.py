@@ -7,11 +7,13 @@ are assembled bottom-up by running the lexicographic Dijkstra over the
 children's tables; external tables run top-down over the parent's external
 table plus the sibling internal tables.
 
-A table entry is a compressed path.  It remembers its weight, real edge
-count, end darts and smallest interior vertex, and it can expand to the exact
-host dart sequence on demand (memoized); expansion is also what the path
-comparison falls back to on deep ties, so composed tables reproduce the very
-same canonical paths that a direct search on the underlying subgraph finds.
+A table entry is an `Arc` (see `weights`): a real dart at the leaves, above
+them the concatenation of the entries its search chain took.  It remembers
+its weight, real edge count, end darts and smallest interior vertex, and it
+can expand to the exact host dart sequence on demand (memoized); expansion
+is also what the path comparison falls back to on deep ties, so composed
+tables reproduce the very same canonical paths that a direct search on the
+underlying subgraph finds.  The entries themselves are the search arcs.
 
 Only *direct* entries feed the searches.  An entry is direct when no
 boundary vertex of the piece that owns its table lies strictly inside its
@@ -35,90 +37,17 @@ Tables still hold every pair, for the readers outside this module.
 from __future__ import annotations
 
 from .errors import InternalAssertion
-from .planar_core import PlanarEmbedding
 from .subdivision import Subdivision
-from .weights import INDEX_INF, Hop, PathChain, lex_dijkstra
+from .weights import Arc, PathChain, dart_arc, lex_dijkstra
 
 
-class DDGEntry:
-    """Compressed canonical shortest path between two host vertices."""
-
-    __slots__ = ("src", "dst", "weight", "nedges", "interior_min",
-                 "first_dart", "last_dart", "parts", "direct", "_darts",
-                 "_interior")
-
-    def __init__(self, src, dst, weight, nedges, interior_min,
-                 first_dart, last_dart, parts, direct=True):
-        self.src = src
-        self.dst = dst
-        self.weight = weight
-        self.nedges = nedges
-        self.interior_min = interior_min
-        self.first_dart = first_dart
-        self.last_dart = last_dart
-        self.parts = parts          # None for a single real dart
-        self.direct = direct        # see the module docstring
-        self._darts = None
-        self._interior = None
-
-    def darts(self) -> list[int]:
-        if self._darts is None:
-            if self.parts is None:
-                self._darts = [self.first_dart]
-            else:
-                out: list[int] = []
-                for p in self.parts:
-                    out.extend(p.darts())
-                self._darts = out
-        return self._darts
-
-    def interior_vertices(self) -> set:
-        if self._interior is None:
-            if self.parts is None:
-                self._interior = set()
-            else:
-                acc = set()
-                for p in self.parts[:-1]:
-                    acc.update(p.interior_vertices())
-                    acc.add(p.dst)
-                acc.update(self.parts[-1].interior_vertices())
-                self._interior = acc
-        return self._interior
-
-    def __repr__(self) -> str:  # debug aid only
-        return f"DDGEntry({self.src}->{self.dst}, w={tuple(self.weight)}, n={self.nedges})"
-
-
-def entry_hop(entry: DDGEntry) -> Hop:
-    return Hop(entry.dst, entry.weight, entry.nedges, entry.interior_min,
-               entry.first_dart, entry.last_dart,
-               expander=_expand_hop, payload=entry)
-
-
-def _expand_hop(hop: Hop) -> list[int]:
-    return hop.payload.darts()
-
-
-def hop_interior(hop: Hop) -> set:
-    if hop.payload is None:
-        return set()
-    return hop.payload.interior_vertices()
-
-
-def dart_entry(g: PlanarEmbedding, d: int) -> DDGEntry:
-    e = d >> 1
-    return DDGEntry(g.tail(d), g.head[d], g.weights[e], 1, INDEX_INF, d, d, None)
-
-
-def entry_from_chain(chain: PathChain, boundary) -> DDGEntry:
+def entry_from_chain(chain: PathChain, boundary) -> Arc:
     """Table entry for a search chain of table arcs.
 
     A one-arc chain is the arc's own entry.  A longer chain gets a new entry
     that is direct when none of its intermediate nodes is in `boundary`.
     """
-    parts = [hop.payload for hop in chain.hops()]
-    if any(p is None for p in parts):
-        raise InternalAssertion("search hop without a table entry payload")
+    parts = chain.arcs()
     if len(parts) == 1:
         return parts[0]
     interior_min = parts[-1].interior_min
@@ -130,22 +59,22 @@ def entry_from_chain(chain: PathChain, boundary) -> DDGEntry:
             interior_min = p.dst
         if p.dst in boundary:
             direct = False
-    return DDGEntry(parts[0].src, parts[-1].dst, chain.weight, chain.nedges,
-                    interior_min, parts[0].first_dart, parts[-1].last_dart,
-                    parts, direct)
+    return Arc(parts[0].src, parts[-1].dst, chain.weight, chain.nedges,
+               interior_min, parts[0].first_dart, parts[-1].last_dart,
+               parts, direct)
 
 
-Table = dict  # (src, dst) -> DDGEntry, src != dst, directed
+Table = dict  # (src, dst) -> Arc, src != dst, directed
 
 
 def table_adjacency(tables) -> dict:
-    """Search arcs over entry tables: the direct entries as a node -> [Hop]
-    map, in deterministic order."""
+    """Search arcs over entry tables: the direct entries as a
+    node -> [(head, Arc)] map, in deterministic order."""
     adj: dict = {}
     for table in tables:
-        for (a, _b), entry in table.items():
+        for (a, b), entry in table.items():
             if entry.direct:
-                adj.setdefault(a, []).append(entry_hop(entry))
+                adj.setdefault(a, []).append((b, entry))
     return adj
 
 
@@ -157,8 +86,7 @@ def _all_pairs(adj: dict, boundary) -> Table:
     blist = sorted(bset)
     arcs = lambda v: adj.get(v, ())
     for s in blist:
-        got = lex_dijkstra(arcs, [s], expand_interior=hop_interior,
-                           targets=blist)
+        got = lex_dijkstra(arcs, [s], targets=blist)
         for t in blist:
             chain = got.get(t)
             if t == s or chain is None:
@@ -195,8 +123,8 @@ def build_ddgs(sd: Subdivision, with_ext: bool = True) -> DDGSet:
                     u, v = g.endpoints(e)
                     bset = set(piece.boundary)
                     if u != v and u in bset and v in bset:
-                        table[(u, v)] = dart_entry(g, 2 * e)
-                        table[(v, u)] = dart_entry(g, 2 * e + 1)
+                        table[(u, v)] = dart_arc(g, 2 * e)
+                        table[(v, u)] = dart_arc(g, 2 * e + 1)
                 ddg.int_tables[pid] = table
             else:
                 children = [ddg.int_tables[c] for c in piece.children]

@@ -2,9 +2,8 @@
 
 Splay-based link-cut trees (Sleator and Tarjan) specialised to rooted
 forests: trees are never re-rooted, so no reversal flags are needed.  Root,
-depth, lca, ancestor-at-depth, descendant tests and `child_toward` (the
-child of an ancestor on the path to a descendant) each cost at most two
-exposes.  Splay nodes carry only subtree sizes: no values, no path minima.
+depth, lca, descendant tests and `child_toward` (the child of an ancestor
+on the path to a descendant) each cost at most two exposes.  Splay nodes carry only subtree sizes: no values, no path minima.
 The forest counts its trees, so `same_tree`, the guard of `lca` and
 `is_descendant`, is free while the forest is one tree (as a build's region
 tree always is) and compares roots otherwise.
@@ -14,7 +13,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from .errors import (AlreadyRoot, CycleWouldForm, DifferentTrees, DOutOfRange,
+from .errors import (AlreadyRoot, CycleWouldForm, DifferentTrees,
                      InputError, UnknownVertex)
 
 
@@ -211,14 +210,6 @@ class DynamicTree:
         a = self._nodes[ancestor]
         self._expose(a)
         return self._expose(self._nodes[item]) is a
-
-    def ancestor_at_depth(self, item: Hashable, k: int):
-        x = self._get(item)
-        self._expose(x)
-        d = x.left.sz if x.left is not None else 0
-        if not 0 <= k <= d:
-            raise DOutOfRange(f"depth {k} not on the path to {item!r}")
-        return self._at_depth(x, k).item
 
     def child_toward(self, ancestor: Hashable, item: Hashable):
         """Child of `ancestor` on the path to `item`, or None when `item` is

@@ -48,10 +48,6 @@ class SameVertex(InputError):
 
 # -- paths / weights -------------------------------------------------------
 
-class EndpointMismatch(InputError):
-    """Paths being compared must share both endpoints."""
-
-
 class NoPath(PlanarCutError):
     """No path exists between the requested endpoints."""
 

@@ -142,12 +142,6 @@ class PlanarEmbedding:
         self._build_between()
         return self._between.get((u, v) if u <= v else (v, u), [])
 
-    def cheapest_edge_between(self, u: int, v: int) -> int:
-        cands = self.edges_between(u, v)
-        if not cands:
-            raise UnknownEdge(f"no edge between {u} and {v}")
-        return min(cands, key=lambda e: (self.weights[e], e))
-
     def _build_between(self) -> None:
         if self._between is not None:
             return

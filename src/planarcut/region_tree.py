@@ -7,7 +7,9 @@ inside and the outside of the new cycle.  The partition is discovered by two
 breadth-first searches seeded on the two sides of the cycle and run in
 lockstep, so only the smaller side's area is traversed and relocated; which
 side is the enclosed one is settled by a crossing-parity walk on a static
-dual spanning tree.
+dual spanning tree.  Each region keeps its bounding cycle as a
+`CompactCycle`: the cycle's host darts in order, with its weight and edge
+count.
 
 Ancestry queries (lca, child toward a descendant, descendant tests) run on
 a link-cut forest and drive the edge classification rules: an edge's home
@@ -30,81 +32,38 @@ from .errors import (DOutOfRange, InductionViolated, InternalAssertion,
 from .planar_core import PlanarEmbedding
 from .weights import TieBreakWeight
 
-SRC_GRAPH = "graph-edge"
-SRC_CYCLE = "cycle-edge"
-SRC_INT = "int-ddg"
-SRC_EXT = "ext-ddg"
-
-
-class SuperEdge:
-    """A path compressed to one arc: endpoints, weight and end darts."""
-
-    __slots__ = ("u", "v", "weight", "nedges", "first_dart", "last_dart",
-                 "min_interior", "source", "_darts")
-
-    def __init__(self, u, v, weight, nedges, first_dart, last_dart,
-                 min_interior, source, darts):
-        self.u = u
-        self.v = v
-        self.weight = weight
-        self.nedges = nedges
-        self.first_dart = first_dart
-        self.last_dart = last_dart
-        self.min_interior = min_interior
-        self.source = source
-        self._darts = tuple(darts)
-
-    def darts(self) -> tuple:
-        return self._darts
-
-    @classmethod
-    def of_dart(cls, g: PlanarEmbedding, d: int, source=SRC_GRAPH) -> "SuperEdge":
-        return cls(g.tail(d), g.head[d], g.weights[d >> 1], 1, d, d,
-                   None, source, (d,))
-
-
 class CompactCycle:
-    """Closed chain of super edges; expands to an explicit dart sequence."""
+    """A simple cycle of the embedding as its dart tuple, with its weight
+    and edge count."""
 
-    __slots__ = ("edges", "weight", "nedges", "_darts", "_edge_ids")
+    __slots__ = ("_darts", "weight", "nedges", "_edge_ids")
 
-    def __init__(self, edges: list[SuperEdge]):
-        if not edges:
+    def __init__(self, g: PlanarEmbedding, darts):
+        darts = tuple(darts)
+        if not darts:
             raise InternalAssertion("empty cycle")
         w = TieBreakWeight.zero()
-        n = 0
-        prev = edges[-1].v
-        for se in edges:
-            if se.u != prev:
-                raise InternalAssertion("cycle super edges do not chain")
-            prev = se.v
-            w = w + se.weight
-            n += se.nedges
-        self.edges = edges
+        prev = g.head[darts[-1]]
+        for d in darts:
+            if g.head[d ^ 1] != prev:
+                raise InternalAssertion("cycle darts do not chain")
+            prev = g.head[d]
+            w = w + g.weights[d >> 1]
+        self._darts = darts
         self.weight = w
-        self.nedges = n
-        self._darts = None
+        self.nedges = len(darts)
         self._edge_ids = None
 
-    @classmethod
-    def from_darts(cls, g: PlanarEmbedding, darts, source=SRC_GRAPH) -> "CompactCycle":
-        return cls([SuperEdge.of_dart(g, d, source) for d in darts])
-
     def darts(self) -> tuple:
-        if self._darts is None:
-            out = []
-            for se in self.edges:
-                out.extend(se.darts())
-            self._darts = tuple(out)
         return self._darts
 
     def edge_ids(self) -> frozenset:
         if self._edge_ids is None:
-            self._edge_ids = frozenset(d >> 1 for d in self.darts())
+            self._edge_ids = frozenset(d >> 1 for d in self._darts)
         return self._edge_ids
 
     def vertices(self, g: PlanarEmbedding) -> list:
-        return [g.head[d] for d in self.darts()]
+        return [g.head[d] for d in self._darts]
 
     def __len__(self) -> int:
         return self.nedges
@@ -135,7 +94,7 @@ class RegionTree:
         ring = g.meta.get("bounding_cycle_edges")
         if ring:
             darts = _orient_edge_cycle(g, ring)
-            root_cycle = CompactCycle.from_darts(g, darts, SRC_CYCLE)
+            root_cycle = CompactCycle(g, darts)
         self.cycles[self.root] = root_cycle
         self.cycle_edge_sets[self.root] = (root_cycle.edge_ids()
                                            if root_cycle else frozenset())
@@ -502,28 +461,9 @@ def regions_with_unseparated_pair(tree: RegionTree,
     return out
 
 
-def region_subpiece(tree: RegionTree, region: int,
-                    group_edges: set) -> tuple[set, list]:
-    """Edges of the region subpiece: interior edges of the region inside the
-    group plus the group's runs of the region's bounding cycle."""
-    internal = set()
-    for e in sorted(group_edges):
-        if tree.edge_home_region(e) == region:
-            internal.add(e)
-    cyc = tree.cycles.get(region)
-    runs: list[list[int]] = []
-    if cyc is not None:
-        darts = cyc.darts()
-        run: list[int] = []
-        for d in darts:
-            if (d >> 1) in group_edges:
-                run.append(d)
-            elif run:
-                runs.append(run)
-                run = []
-        if run:
-            if runs and darts[0] >> 1 in group_edges and runs[0][0] == darts[0]:
-                runs[0] = run + runs[0]
-            else:
-                runs.append(run)
-    return internal, runs
+def region_subpiece(tree: RegionTree, region: int, group_edges) -> set:
+    """Edges of the region subpiece: the group edges whose home is the
+    region, plus the group edges on the region's bounding cycle."""
+    cyc = tree.cycle_edge_sets.get(region, frozenset())
+    return {e for e in group_edges
+            if tree.edge_home_region(e) == region or e in cyc}

@@ -12,21 +12,17 @@ Two engines share this machinery.  The safe engine searches the full edge
 set of a region and is quadratic per call.  The fast engine searches one
 subdivision piece plus precomputed distance-table arcs for everything
 outside it; arcs whose hidden path touches X are expanded into their real
-edges so that crossings inside them stay visible.  Both return the same
-cycle in canonical dart form.
+edges so that crossings inside them stay visible, and every cycle, closed
+through the piece exterior or not, is found by the same crossing sweep.
+Both return the same cycle in canonical dart form.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
-
-from .ddg import entry_hop, hop_interior
 from .errors import InternalAssertion, NoPath
 from .planar_core import PlanarEmbedding
-from .region_tree import (SRC_CYCLE, SRC_EXT, SRC_GRAPH, SRC_INT,
-                          CompactCycle, RegionTree, SuperEdge,
-                          region_subpiece)
-from .weights import Hop, PathChain, compare_chains, dart_hop, lex_dijkstra
+from .region_tree import CompactCycle, RegionTree, region_subpiece
+from .weights import PathChain, compare_chains, dart_arc, lex_dijkstra
 
 
 class FallbackNeeded(Exception):
@@ -36,7 +32,7 @@ class FallbackNeeded(Exception):
 
 def new_stats() -> dict:
     return {"dijkstras": 0, "candidates": 0, "expanded_arcs": 0,
-            "compact_arcs": 0, "external_candidates": 0}
+            "compact_arcs": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +129,9 @@ class CutUniverse:
     (v, side) copies.  Real edges are traversed dart by dart; darts leaving
     a copy must lie on its side, and cut path edges connect equal-side
     copies.  Compact table arcs attach to the copies matching their end
-    darts and are expanded only during tie-breaking and final readout.
+    darts and are expanded only during tie-breaking and final readout.  A
+    row pairs each arc with the node it enters, so a table entry serves
+    here as it is.
     """
 
     __slots__ = ("g", "xcut", "real", "arcs", "_adj")
@@ -149,13 +147,10 @@ class CutUniverse:
         self.real.update(edges)
         self._adj.clear()
 
-    def add_arc(self, entry) -> None:
-        src = _cut_node(self.xcut, entry.src, entry.first_dart)
-        dst = _cut_node(self.xcut, entry.dst, entry.last_dart ^ 1)
-        hop = Hop(dst, entry.weight, entry.nedges, entry.interior_min,
-                  entry.first_dart, entry.last_dart,
-                  expander=_expand_entry, payload=entry)
-        self.arcs.setdefault(src, []).append(hop)
+    def add_arc(self, arc) -> None:
+        src = _cut_node(self.xcut, arc.src, arc.first_dart)
+        dst = _cut_node(self.xcut, arc.dst, arc.last_dart ^ 1)
+        self.arcs.setdefault(src, []).append((dst, arc))
         self._adj.pop(src, None)
 
     def has_vertex(self, v: int) -> bool:
@@ -191,17 +186,13 @@ class CutUniverse:
                 # an edge of the cut path survives once per side
                 if side is None:
                     raise InternalAssertion("plain node incident to cut path")
-                rows.append(dart_hop((w, side), d, g.weights[e]))
+                rows.append(((w, side), dart_arc(g, d)))
                 continue
             if side is not None and x.side_of(v, d) != side:
                 continue
-            rows.append(dart_hop(_cut_node(x, w, d ^ 1), d, g.weights[e]))
+            rows.append((_cut_node(x, w, d ^ 1), dart_arc(g, d)))
         rows.extend(self.arcs.get(node, ()))
         return rows
-
-
-def _expand_entry(hop: Hop):
-    return hop.payload.darts()
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +242,10 @@ def _candidate_beats(a: _Candidate, b: _Candidate) -> bool:
     return a.canon() < b.canon()
 
 
-def _consider(g, best: _Candidate | None, chain: PathChain,
-              extra_weight=None, extra_darts=()) -> _Candidate | None:
-    darts = list(chain.darts()) + list(extra_darts)
-    weight = chain.weight if extra_weight is None else chain.weight + extra_weight
-    cand = _Candidate(g, weight, darts)
+def _consider(g, best: _Candidate | None,
+              chain: PathChain) -> _Candidate | None:
+    darts = chain.darts()
+    cand = _Candidate(g, chain.weight, darts)
     # a closed walk that reuses an edge decomposes into the simple winner
     # plus nonnegative slack, so it can be dropped outright
     if len(cand.eset) != cand.nedges:
@@ -268,14 +258,15 @@ def _consider(g, best: _Candidate | None, chain: PathChain,
     return best
 
 
-def _crossing_sweep(universe: CutUniverse, xverts, stats: dict,
-                    best: _Candidate | None = None) -> _Candidate | None:
+def _crossing_sweep(universe: CutUniverse, xverts,
+                    stats: dict) -> _Candidate | None:
     """One shortest-path run per crossing vertex, from its side-0 copy to
     its side-1 copy.  Returns the best simple cycle found."""
     g = universe.g
+    best = None
     for x in xverts:
         res = lex_dijkstra(universe.adjacency, [(x, 0)], _node_index,
-                           hop_interior, targets=[(x, 1)])
+                           targets=[(x, 1)])
         stats["dijkstras"] += 1
         chain = res.get((x, 1))
         if chain is None or chain.nedges == 0:
@@ -287,6 +278,16 @@ def _crossing_sweep(universe: CutUniverse, xverts, stats: dict,
 
 # ---------------------------------------------------------------------------
 # shared path search helpers
+
+
+def _dart_adjacency(g: PlanarEmbedding, edges) -> dict:
+    """Plain-vertex adjacency over both darts of each edge, in edge order."""
+    adj: dict = {}
+    for e in sorted(edges):
+        for d in (2 * e, 2 * e + 1):
+            adj.setdefault(g.head[d ^ 1], []).append((g.head[d],
+                                                      dart_arc(g, d)))
+    return adj
 
 
 def _face_seed_vertices(g: PlanarEmbedding, face: int, edges) -> list:
@@ -304,34 +305,9 @@ def _best_target_chain(res: dict, targets) -> PathChain | None:
         chain = res.get(t)
         if chain is None:
             continue
-        if best is None or compare_chains(chain, best, _node_index,
-                                          hop_interior) < 0:
+        if best is None or compare_chains(chain, best, _node_index) < 0:
             best = chain
     return best
-
-
-def _compact_from_darts(g: PlanarEmbedding, darts,
-                        classify: Callable[[int], str]) -> CompactCycle:
-    """Group a dart cycle into maximal same-origin runs of super edges."""
-    runs = []
-    for d in darts:
-        tag = classify(d >> 1)
-        if runs and runs[-1][0] == tag:
-            runs[-1][1].append(d)
-        else:
-            runs.append((tag, [d]))
-    # the seam stays split even when both ends share a tag, so the dart
-    # order of the canonical rotation is preserved
-    edges = []
-    for tag, run in runs:
-        weight = g.weights[run[0] >> 1]
-        for d in run[1:]:
-            weight = weight + g.weights[d >> 1]
-        interior = [g.head[d] for d in run[:-1]]
-        edges.append(SuperEdge(g.head[run[0] ^ 1], g.head[run[-1]], weight,
-                               len(run), run[0], run[-1],
-                               min(interior) if interior else None, tag, run))
-    return CompactCycle(edges)
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +323,7 @@ def min_separating_cycle_safe(g: PlanarEmbedding, tree: RegionTree,
         stats = new_stats()
     edges = {e for e in range(g.m) if tree.edge_in_region(e, region)}
 
-    adj: dict = {}
-    for e in sorted(edges):
-        for d in (2 * e, 2 * e + 1):
-            adj.setdefault(g.head[d ^ 1], []).append(
-                dart_hop(g.head[d], d, g.weights[e]))
+    adj = _dart_adjacency(g, edges)
     seeds = _face_seed_vertices(g, face_a, edges)
     targets = _face_seed_vertices(g, face_b, edges)
     if not seeds or not targets:
@@ -369,10 +341,7 @@ def min_separating_cycle_safe(g: PlanarEmbedding, tree: RegionTree,
     if best is None:
         raise NoPath(f"no cycle separates faces {face_a} and {face_b}")
 
-    cyc = tree.cycle_edge_sets.get(region) or frozenset()
-    return _compact_from_darts(
-        g, best.canon(),
-        lambda e: SRC_CYCLE if e in cyc else SRC_GRAPH)
+    return CompactCycle(g, best.canon())
 
 
 # ---------------------------------------------------------------------------
@@ -421,67 +390,50 @@ def _group_path_adjacency(ctx: PieceContext, real_edges) -> dict:
     """Plain-vertex adjacency for the X search: the group's real darts plus
     compact arcs over the sibling interiors and the piece exterior (direct
     table entries only, as in the distance table assembly)."""
-    g = ctx.g
-    adj: dict = {}
-    for e in sorted(real_edges):
-        for d in (2 * e, 2 * e + 1):
-            adj.setdefault(g.head[d ^ 1], []).append(
-                dart_hop(g.head[d], d, g.weights[e]))
+    adj = _dart_adjacency(ctx.g, real_edges)
     for table in list(ctx.sib_tables) + [ctx.ext_table]:
         for entry in table.values():
             if entry.direct:
-                adj.setdefault(entry.src, []).append(entry_hop(entry))
+                adj.setdefault(entry.src, []).append((entry.dst, entry))
     return adj
 
 
 def min_separating_cycle_fast(ctx: PieceContext, region: int,
                               face_a: int, face_b: int,
-                              external_route: bool = False,
                               stats: dict | None = None) -> CompactCycle:
     """Minimum cycle separating two faces of `region`, searching the
     region's subpiece directly and everything else through table arcs.
 
-    With `external_route` the arcs leaving the piece are never expanded:
-    arcs whose endpoints fall in different pockets of the cut complement
-    become cycle closers instead.  Both routes return the same cycle.
-
-    Otherwise only direct table entries enter the universe as compact arcs;
-    arcs touching X are expanded whatever their kind.  This is exact.  Take
-    a non-direct entry s->t through a boundary vertex x of the owning piece
-    that does not touch X.  Canonical paths have canonical subpaths, so its
-    entries s->x and x->t are in the same table, with the same end darts as
-    the parent at s and at t.  Their interiors lie inside the parent's
-    interior, and x is not on X, so neither touches X: both enter as
-    compact arcs (recursively, down to direct ones) and their concatenation
-    spells the same darts.  `has_vertex` sees no difference either, since
-    the entry from s has the same source node as the parent.
+    The sibling tables not entered by X, then the piece's external table,
+    feed the universe the same way.  Arcs touching X are expanded whatever
+    their kind; of the others only direct entries enter as compact arcs.
+    This is exact.  Take a non-direct entry s->t through a boundary vertex
+    x of the owning piece that does not touch X.  Canonical paths have
+    canonical subpaths, so its entries s->x and x->t are in the same table,
+    with the same end darts as the parent at s and at t.  Their interiors
+    lie inside the parent's interior, and x is not on X, so neither touches
+    X: both enter as compact arcs (recursively, down to direct ones) and
+    their concatenation spells the same darts.  `has_vertex` sees no
+    difference either, since the entry from s has the same source node as
+    the parent.
     """
     g = ctx.g
-    tree = ctx.tree
     if stats is None:
         stats = new_stats()
 
-    internal, runs = region_subpiece(tree, region, ctx.group_edges)
-    real = set(internal)
-    cyc_edges = set()
-    for run in runs:
-        for d in run:
-            real.add(d >> 1)
-            cyc_edges.add(d >> 1)
-
+    real = region_subpiece(ctx.tree, region, ctx.group_edges)
     seeds = _face_seed_vertices(g, face_a, real)
     targets = _face_seed_vertices(g, face_b, real)
     if not seeds or not targets:
         raise FallbackNeeded("pair faces have no edges in the group")
     adj = _group_path_adjacency(ctx, real)
-    res = lex_dijkstra(lambda v: adj.get(v, ()), seeds,
-                       expand_interior=hop_interior, targets=targets)
+    res = lex_dijkstra(lambda v: adj.get(v, ()), seeds, targets=targets)
     stats["dijkstras"] += 1
     chain = _best_target_chain(res, targets)
     if chain is None:
         raise FallbackNeeded("face boundaries not connected through tables")
 
-    xdarts = list(chain.darts())
+    xdarts = chain.darts()
     xcut = XCut(g, xdarts, chain.nodes()[0], face_a, face_b)
     universe = CutUniverse(g, xcut, real)
 
@@ -491,9 +443,8 @@ def min_separating_cycle_fast(ctx: PieceContext, region: int,
                if (d >> 1) in ctx.edge_sibling}
     for i in touched:
         universe.add_real(ctx.sib_edges[i])
-    for i, table in enumerate(ctx.sib_tables):
-        if i in touched:
-            continue
+    tables = [t for i, t in enumerate(ctx.sib_tables) if i not in touched]
+    for table in tables + [ctx.ext_table]:
         for entry in table.values():
             if _arc_touches_cut(entry, xcut):
                 universe.add_real(d >> 1 for d in entry.darts())
@@ -502,104 +453,8 @@ def min_separating_cycle_fast(ctx: PieceContext, region: int,
                 universe.add_arc(entry)
                 stats["compact_arcs"] += 1
 
-    closers = []
-    labels = None
-    if external_route:
-        labels = parenthesis_labels(g, xcut, _piece_edge_set(ctx))
-    for entry in ctx.ext_table.values():
-        if external_route:
-            src = _cut_node(xcut, entry.src, entry.first_dart)
-            dst = _cut_node(xcut, entry.dst, entry.last_dart ^ 1)
-            if labels.get(src) != labels.get(dst):
-                closers.append((entry, src, dst))
-                continue
-            if _arc_touches_cut(entry, xcut):
-                universe.add_real(d >> 1 for d in entry.darts())
-                stats["expanded_arcs"] += 1
-            else:
-                universe.add_arc(entry)
-                stats["compact_arcs"] += 1
-        elif _arc_touches_cut(entry, xcut):
-            universe.add_real(d >> 1 for d in entry.darts())
-            stats["expanded_arcs"] += 1
-        elif entry.direct:
-            universe.add_arc(entry)
-            stats["compact_arcs"] += 1
-
     xverts = [v for v in xcut.order if universe.has_vertex(v)]
     best = _crossing_sweep(universe, xverts, stats)
-
-    for entry, src, dst in closers:
-        # close the arc with the best non-crossing path inside the universe
-        res = lex_dijkstra(universe.adjacency, [dst], _node_index,
-                           hop_interior, targets=[src])
-        stats["dijkstras"] += 1
-        stats["external_candidates"] += 1
-        back = res.get(src)
-        if back is None:
-            continue
-        best = _consider(g, best, back, entry.weight, entry.darts())
-
     if best is None:
         raise FallbackNeeded("no separating cycle in the table universe")
-
-    def classify(e: int) -> str:
-        if e in cyc_edges:
-            return SRC_CYCLE
-        if e in real or e in ctx.group_edges:
-            return SRC_GRAPH
-        if e in ctx.edge_sibling:
-            return SRC_INT
-        return SRC_EXT
-
-    return _compact_from_darts(g, best.canon(), classify)
-
-
-def _piece_edge_set(ctx: PieceContext) -> frozenset:
-    inside = set(ctx.group_edges)
-    for edges in ctx.sib_edges:
-        inside.update(edges)
-    return frozenset(inside)
-
-
-# ---------------------------------------------------------------------------
-# pockets of the cut complement
-
-
-def parenthesis_labels(g: PlanarEmbedding, xcut: XCut,
-                       inside_edges) -> dict:
-    """Connectivity labels of the piece complement after cutting along X.
-
-    Two cut-world nodes share a label exactly when a path over edges
-    outside `inside_edges` connects them without crossing the cut path.
-    An arc between different labels must cross X, one with equal labels
-    cannot; this is what classifies external arcs into universe arcs and
-    cycle closers.
-    """
-    outside = [e for e in range(g.m) if e not in inside_edges]
-    universe = CutUniverse(g, xcut, outside)
-    nodes = set()
-    for e in outside:
-        if e in xcut.edges:
-            u, v = g.head[2 * e + 1], g.head[2 * e]
-            for side in (0, 1):
-                nodes.add((u, side))
-                nodes.add((v, side))
-            continue
-        for d in (2 * e, 2 * e + 1):
-            nodes.add(_cut_node(xcut, g.head[d ^ 1], d))
-    labels: dict = {}
-    for start in sorted(nodes, key=lambda n: (_node_index(n),
-                                              n[1] if type(n) is tuple else -1)):
-        if start in labels:
-            continue
-        tag = len(labels)
-        stack = [start]
-        labels[start] = tag
-        while stack:
-            node = stack.pop()
-            for hop in universe.adjacency(node):
-                if hop.head not in labels:
-                    labels[hop.head] = tag
-                    stack.append(hop.head)
-    return labels
+    return CompactCycle(g, best.canon())

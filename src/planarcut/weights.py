@@ -11,14 +11,18 @@ that appears on exactly one of the two paths.  Paths with equal weight, equal
 length and equal vertex sets are ordered by their dart sequences, which is an
 artifact-level total order (the vertex-index rule alone cannot distinguish
 parallel edges).
+
+Every path the searches walk as one edge is an `Arc`: a real dart, or a
+compressed path such as a distance-table entry, which expands itself on
+demand.  A search adjacency maps a node to (head node, Arc) pairs, so one
+arc can serve several search graphs whose nodes differ (host vertices, or
+their split copies in a cut-open graph).
 """
 
 from __future__ import annotations
 
 import heapq
 from typing import Callable, Iterable, NamedTuple, Sequence
-
-from .errors import EndpointMismatch, NoPath
 
 INDEX_INF = float("inf")
 
@@ -67,65 +71,89 @@ _INF_EDGE = TieBreakWeight(1, 0, 0)
 _EPS_EDGE = TieBreakWeight(0, 0, 1)
 
 
-class Hop:
-    """One edge of a search graph: a real dart or a compressed path.
+class Arc:
+    """One edge of a search graph: a real dart, or a compressed path.
 
-    `interior_min` is the smallest vertex index strictly between the hop's
-    endpoints (INDEX_INF when the hop is a single dart).  `expand_darts`
-    produces the underlying real dart sequence in travel direction, and
-    `expand_interior` the interior vertex indices; both are only called on
-    exact weight/length ties or when output is being reported, so they may be
-    lazy and recursive.
+    A real dart has `parts` None (see `dart_arc`).  A compressed path is a
+    concatenation of shorter arcs, such as a distance-table entry assembled
+    from child entries.  `interior_min` is the smallest vertex index strictly
+    between the endpoints (INDEX_INF for a dart).  `darts()` expands to the
+    host dart sequence in travel direction and `interior_vertices()` to the
+    interior vertex set; both are memoized and only needed on exact
+    weight/length ties or for output.  `direct` is the distance-table flag
+    described in `ddg`.
     """
 
-    __slots__ = ("head", "weight", "nedges", "interior_min", "first_dart",
-                 "last_dart", "_expander", "payload")
+    __slots__ = ("src", "dst", "weight", "nedges", "interior_min",
+                 "first_dart", "last_dart", "parts", "direct", "_darts",
+                 "_interior")
 
-    def __init__(self, head, weight: TieBreakWeight, nedges: int,
-                 interior_min=INDEX_INF, first_dart: int = -1,
-                 last_dart: int = -1, expander=None, payload=None):
-        self.head = head
+    def __init__(self, src, dst, weight: TieBreakWeight, nedges: int,
+                 interior_min, first_dart: int, last_dart: int, parts,
+                 direct: bool = True):
+        self.src = src
+        self.dst = dst
         self.weight = weight
         self.nedges = nedges
         self.interior_min = interior_min
         self.first_dart = first_dart
         self.last_dart = last_dart
-        self._expander = expander
-        self.payload = payload
+        self.parts = parts
+        self.direct = direct
+        self._darts = None
+        self._interior = None
 
-    def expand_darts(self) -> list[int]:
-        if self._expander is None:
-            return [self.first_dart]
-        return self._expander(self)
+    def darts(self) -> list[int]:
+        if self._darts is None:
+            if self.parts is None:
+                self._darts = [self.first_dart]
+            else:
+                out: list[int] = []
+                for p in self.parts:
+                    out.extend(p.darts())
+                self._darts = out
+        return self._darts
+
+    def interior_vertices(self) -> set:
+        if self._interior is None:
+            if self.parts is None:
+                self._interior = set()
+            else:
+                acc = set()
+                for p in self.parts[:-1]:
+                    acc.update(p.interior_vertices())
+                    acc.add(p.dst)
+                acc.update(self.parts[-1].interior_vertices())
+                self._interior = acc
+        return self._interior
 
     def __repr__(self) -> str:  # debug aid only
-        return f"Hop(->{self.head}, w={tuple(self.weight)}, n={self.nedges})"
+        return f"Arc({self.src}->{self.dst}, w={tuple(self.weight)}, n={self.nedges})"
 
 
-def dart_hop(head, dart: int, weight: TieBreakWeight) -> Hop:
-    return Hop(head, weight, 1, INDEX_INF, dart, dart)
+def dart_arc(g, d: int) -> Arc:
+    """The arc of dart `d` of the embedding `g`."""
+    return Arc(g.head[d ^ 1], g.head[d], g.weights[d >> 1], 1, INDEX_INF,
+               d, d, None)
 
 
 class PathChain:
-    """Immutable linked-list node describing a root-to-node search path."""
+    """Immutable linked-list node describing a root-to-node search path:
+    the search node, the chain it extends and the arc taken to get here."""
 
-    __slots__ = ("node", "parent", "hop", "weight", "nedges")
+    __slots__ = ("node", "parent", "arc", "weight", "nedges")
 
-    def __init__(self, node, parent: "PathChain | None", hop: Hop | None,
+    def __init__(self, node, parent: "PathChain | None", arc: Arc | None,
                  weight: TieBreakWeight, nedges: int):
         self.node = node
         self.parent = parent
-        self.hop = hop
+        self.arc = arc
         self.weight = weight
         self.nedges = nedges
 
     @classmethod
     def source(cls, node) -> "PathChain":
         return cls(node, None, None, _ZERO, 0)
-
-    def extend(self, hop: Hop) -> "PathChain":
-        return PathChain(hop.head, self, hop, self.weight + hop.weight,
-                         self.nedges + hop.nedges)
 
     def nodes(self) -> list:
         out = []
@@ -136,19 +164,19 @@ class PathChain:
         out.reverse()
         return out
 
-    def hops(self) -> list[Hop]:
+    def arcs(self) -> list[Arc]:
         out = []
         c: PathChain | None = self
-        while c is not None and c.hop is not None:
-            out.append(c.hop)
+        while c is not None and c.arc is not None:
+            out.append(c.arc)
             c = c.parent
         out.reverse()
         return out
 
     def darts(self) -> list[int]:
         out: list[int] = []
-        for hop in self.hops():
-            out.extend(hop.expand_darts())
+        for arc in self.arcs():
+            out.extend(arc.darts())
         return out
 
 
@@ -168,29 +196,27 @@ def _suffix_min_index(entries: list[PathChain], index_of) -> float:
         idx = index_of(c.node)
         if idx < m:
             m = idx
-        if c.hop is not None and c.hop.interior_min < m:
-            m = c.hop.interior_min
+        if c.arc is not None and c.arc.interior_min < m:
+            m = c.arc.interior_min
     return m
 
 
-def _suffix_index_set(entries: list[PathChain], index_of,
-                      expand_interior) -> set:
+def _suffix_index_set(entries: list[PathChain], index_of) -> set:
     out = set()
     for c in entries:
         out.add(index_of(c.node))
-        if c.hop is not None and c.hop.interior_min is not INDEX_INF:
-            out.update(expand_interior(c.hop))
+        if c.arc is not None and c.arc.interior_min is not INDEX_INF:
+            out.update(c.arc.interior_vertices())
     return out
 
 
-def compare_chains(a: PathChain, b: PathChain, index_of: Callable,
-                   expand_interior: Callable | None = None) -> int:
+def compare_chains(a: PathChain, b: PathChain, index_of: Callable) -> int:
     """Total order on search paths: weight, edge count, vertex-index rule,
     then dart sequence.  Returns -1, 0 or +1.
 
     The index rule only ever walks the divergent suffixes: shared prefix nodes
     are the same objects.  When both suffix minima coincide (the vertex lies on
-    both paths and cancels in the set difference) the hops are expanded and the
+    both paths and cancels in the set difference) the arcs are expanded and the
     exact symmetric difference is compared.
     """
     if a.weight != b.weight:
@@ -228,10 +254,8 @@ def compare_chains(a: PathChain, b: PathChain, index_of: Callable,
         return -1 if ma < mb else 1
 
     if ma is not INDEX_INF:
-        if expand_interior is None:
-            expand_interior = _default_expand_interior
-        va = _suffix_index_set(sa, index_of, expand_interior)
-        vb = _suffix_index_set(sb, index_of, expand_interior)
+        va = _suffix_index_set(sa, index_of)
+        vb = _suffix_index_set(sb, index_of)
         only_a = va - vb
         only_b = vb - va
         ia = min(only_a) if only_a else INDEX_INF
@@ -246,24 +270,21 @@ def compare_chains(a: PathChain, b: PathChain, index_of: Callable,
     return -1 if da < db else 1
 
 
-def _default_expand_interior(hop: Hop):
-    raise NoPath("hop requires an interior expander for exact tie-breaking")
-
-
-def lex_dijkstra(adj: Callable[[object], Iterable[Hop]],
+def lex_dijkstra(adj: Callable[[object], Iterable[tuple[object, Arc]]],
                  sources: Sequence,
                  index_of: Callable = lambda v: v,
-                 expand_interior: Callable | None = None,
                  targets: Iterable | None = None) -> dict:
     """Unique lexicographic shortest-path forest from `sources`.
 
-    `adj(node)` yields Hop objects.  `sources` is a sequence of nodes or
-    prebuilt PathChain seeds.  Returns {node: PathChain} for every settled
-    node.  With `targets` the search stops once all targets are settled;
-    the other nodes it returns then depend on heap order, so callers read
-    only the targets.  Deterministic given the adjacency order.
+    `adj(node)` yields (head node, Arc) pairs; the head is the search node
+    the arc enters, which need not be the arc's `dst` vertex itself (see
+    the cut-open universe in `sep_cycle`).  `sources` is a sequence of nodes
+    or prebuilt PathChain seeds.  Returns {node: PathChain} for every
+    settled node.  With `targets` the search stops once all targets are
+    settled; the other nodes it returns then depend on heap order, so
+    callers read only the targets.  Deterministic given the adjacency order.
 
-    Edge counts are strictly positive on every hop, so nodes whose keys tie on
+    Edge counts are strictly positive on every arc, so nodes whose keys tie on
     (weight, nedges) never relax each other and heap order within such a tie
     class cannot affect the result: the heap orders it by insertion.  A
     candidate is compared in full, and allocated, only when its
@@ -278,7 +299,7 @@ def lex_dijkstra(adj: Callable[[object], Iterable[Hop]],
     for s in sources:
         chain = s if isinstance(s, PathChain) else PathChain.source(s)
         cur = best.get(chain.node)
-        if cur is None or compare_chains(chain, cur, index_of, expand_interior) < 0:
+        if cur is None or compare_chains(chain, cur, index_of) < 0:
             best[chain.node] = chain
             heapq.heappush(heap, (chain.weight, chain.nedges, seq, chain))
             seq += 1
@@ -295,19 +316,18 @@ def lex_dijkstra(adj: Callable[[object], Iterable[Hop]],
                 break
         weight = chain.weight
         nedges = chain.nedges
-        for hop in adj(node):
-            head = hop.head
+        for head, arc in adj(node):
             if head in settled:
                 continue
-            w = weight + hop.weight
-            k = nedges + hop.nedges
+            w = weight + arc.weight
+            k = nedges + arc.nedges
             cur = best.get(head)
             if cur is None or w < cur.weight or (w == cur.weight
                                                  and k < cur.nedges):
-                cand = PathChain(head, chain, hop, w, k)
+                cand = PathChain(head, chain, arc, w, k)
             elif w == cur.weight and k == cur.nedges:
-                cand = PathChain(head, chain, hop, w, k)
-                if compare_chains(cand, cur, index_of, expand_interior) >= 0:
+                cand = PathChain(head, chain, arc, w, k)
+                if compare_chains(cand, cur, index_of) >= 0:
                     continue
             else:
                 continue
@@ -315,43 +335,3 @@ def lex_dijkstra(adj: Callable[[object], Iterable[Hop]],
             heapq.heappush(heap, (w, k, seq, cand))
             seq += 1
     return settled
-
-
-def compare_paths(g, p: Sequence[int], q: Sequence[int]) -> int:
-    """Order two simple vertex paths of the embedding `g` with common
-    endpoints.  Returns -1, 0 or +1; 0 only when they use the same edges.
-
-    Walks both vertex sequences once.  Parallel edges between a consecutive
-    pair are resolved to the lexicographically smallest (weight, edge id).
-    """
-    if not p or not q:
-        raise EndpointMismatch("empty path")
-    if p[0] != q[0] or p[-1] != q[-1]:
-        raise EndpointMismatch(f"paths run {p[0]}..{p[-1]} vs {q[0]}..{q[-1]}")
-
-    wp, ep = _path_weight(g, p)
-    wq, eq = _path_weight(g, q)
-    if wp != wq:
-        return -1 if wp < wq else 1
-    if len(p) != len(q):
-        return -1 if len(p) < len(q) else 1
-    sp, sq = set(p), set(q)
-    only_p = sp - sq
-    only_q = sq - sp
-    ip = min(only_p) if only_p else INDEX_INF
-    iq = min(only_q) if only_q else INDEX_INF
-    if ip != iq:
-        return -1 if ip < iq else 1
-    if ep == eq:
-        return 0
-    return -1 if ep < eq else 1
-
-
-def _path_weight(g, p: Sequence[int]) -> tuple[TieBreakWeight, list[int]]:
-    total = TieBreakWeight.zero()
-    edges = []
-    for u, v in zip(p, p[1:]):
-        e = g.cheapest_edge_between(u, v)
-        total = total + g.edge_weight(e)
-        edges.append(e)
-    return total, edges

@@ -4,34 +4,34 @@ graph with parallel edges and zero weights."""
 
 import random
 
-from planarcut.ddg import dart_entry, entry_from_chain, entry_hop, hop_interior
+from planarcut.ddg import entry_from_chain
 from planarcut.generators import grid_graph
 from planarcut.planar_core import build_embedding
-from planarcut.weights import TieBreakWeight, lex_dijkstra
+from planarcut.weights import TieBreakWeight, dart_arc, lex_dijkstra
 
 
 def graph_adjacency(g, edges=None) -> dict:
-    """node -> [Hop] over real darts, optionally restricted to an edge set."""
+    """node -> [(head, Arc)] over real darts, optionally restricted to an
+    edge set."""
     adj: dict = {}
     for v in range(g.n):
         row = []
         for d in g.out[v]:
             if edges is not None and (d >> 1) not in edges:
                 continue
-            row.append(entry_hop(dart_entry(g, d)))
+            row.append((g.head[d], dart_arc(g, d)))
         if row:
             adj[v] = row
     return adj
 
 
 def ddg_dijkstra(adj: dict, sources, targets=None) -> dict:
-    """Canonical shortest paths over an adjacency of entry hops.
+    """Canonical shortest paths over an adjacency of (head, Arc) pairs.
 
-    Returns {node: DDGEntry} for settled non-source nodes plus
+    Returns {node: Arc} for settled non-source nodes plus
     {source: None}; with `targets`, read only the targets.
     """
-    res = lex_dijkstra(lambda v: adj.get(v, ()), sources,
-                       expand_interior=hop_interior, targets=targets)
+    res = lex_dijkstra(lambda v: adj.get(v, ()), sources, targets=targets)
     return {node: entry_from_chain(chain, ()) if chain.nedges > 0 else None
             for node, chain in res.items()}
 

@@ -3,7 +3,7 @@ import pytest
 from _search_reference import (ddg_dijkstra, graph_adjacency,
                                parallel_zero_graph)
 from planarcut import weights
-from planarcut.ddg import build_ddgs, entry_hop, table_adjacency
+from planarcut.ddg import build_ddgs, table_adjacency
 from planarcut.generators import (grid_graph, random_delaunay_graph,
                                   random_grid_subgraph)
 from planarcut.subdivision import recursive_subdivide
@@ -169,8 +169,8 @@ def reference_ddgs(sd, ddg):
     def adjacency(tables):
         adj: dict = {}
         for table in tables:
-            for (a, _b), entry in table.items():
-                adj.setdefault(a, []).append(entry_hop(entry))
+            for (a, b), entry in table.items():
+                adj.setdefault(a, []).append((b, entry))
         return adj
 
     def all_pairs(adj, boundary):

@@ -4,7 +4,7 @@ import pytest
 
 from planarcut.dynamic_tree import DynamicTree
 from planarcut.errors import (AlreadyRoot, CycleWouldForm, DifferentTrees,
-                              DOutOfRange, InputError, UnknownVertex)
+                              InputError, UnknownVertex)
 
 
 class NaiveForest:
@@ -68,8 +68,6 @@ def test_basic_shape():
     assert t.lca(4, 1) == 1
     assert t.is_descendant(1, 4)
     assert not t.is_descendant(2, 4)
-    assert t.ancestor_at_depth(4, 0) == 0
-    assert t.ancestor_at_depth(4, 2) == 3
     assert t.child_toward(0, 4) == 1
     assert t.child_toward(1, 4) == 3
     assert t.child_toward(2, 4) is None
@@ -92,8 +90,6 @@ def test_error_conditions():
         t.link(0, 1)
     with pytest.raises(AlreadyRoot):
         t.cut(0)
-    with pytest.raises(DOutOfRange):
-        t.ancestor_at_depth(1, 5)
     assert t.child_toward(1, 0) is None
     assert t.child_toward(2, 0) is None
     with pytest.raises(UnknownVertex):
@@ -114,8 +110,6 @@ def check_queries(t, ref, rng, N):
         with pytest.raises(DifferentTrees):
             t.lca(a, b)
     assert t.is_descendant(a, b) == ref.is_descendant(a, b)
-    k = rng.randint(0, ref.depth(a))
-    assert t.ancestor_at_depth(a, k) == ref.ancestor_at_depth(a, k)
     assert t.child_toward(a, b) == ref.child_toward(a, b)
     anc = ref.ancestor_at_depth(b, rng.randint(0, ref.depth(b)))
     assert t.child_toward(anc, b) == ref.child_toward(anc, b)

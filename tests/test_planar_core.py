@@ -99,7 +99,6 @@ def test_self_loop_and_parallel_edges_build():
     para = build_embedding(2, [(0, 1), (0, 1)], [W.of(1), W.of(2)],
                            [[0, 1], [1, 0]])
     assert (para.n, para.m, len(para.faces)) == (2, 2, 2)
-    assert para.cheapest_edge_between(0, 1) == 0
     assert para.edges_between(1, 0) == [0, 1]
 
 

@@ -4,11 +4,13 @@ from itertools import permutations
 
 import pytest
 
-from planarcut.errors import DOutOfRange, InductionViolated, NotSeparating
+from planarcut.errors import (DOutOfRange, InductionViolated,
+                              InternalAssertion, NotSeparating)
 from planarcut.generators import (embedding_from_coordinates, grid_graph,
                                   random_delaunay_graph)
 from planarcut.region_tree import (CompactCycle, RegionTree, region_subpiece,
                                    regions_with_unseparated_pair)
+from planarcut.weights import TieBreakWeight
 
 
 def face_edges(g, fid):
@@ -29,7 +31,7 @@ def face_sibling(tree, f):
 
 def insert_face_boundary(tree, fid):
     g = tree.g
-    cyc = CompactCycle.from_darts(g, orient(g, face_edges(g, fid)))
+    cyc = CompactCycle(g, orient(g, face_edges(g, fid)))
     tree.insert_cycle(cyc, tree.parent(fid), (fid, face_sibling(tree, fid)))
 
 
@@ -114,7 +116,7 @@ def test_grid_ring_takes_exterior_branch(grid3):
 
     insert_face_boundary(tree, squares[0])
     old_root = tree.root
-    cyc = CompactCycle.from_darts(g, orient(g, ring))
+    cyc = CompactCycle(g, orient(g, ring))
     tree.insert_cycle(cyc, tree.root, (squares[1], g.infinite_face))
     assert tree.root != old_root, "outer-side relocation must rebuild the root"
     insert_face_boundary(tree, squares[1])
@@ -183,7 +185,7 @@ def test_not_separating_rejected(grid3):
     g = grid3
     tree = RegionTree(g)
     squares = finite_faces(g)
-    cyc = CompactCycle.from_darts(g, orient(g, face_edges(g, squares[0])))
+    cyc = CompactCycle(g, orient(g, face_edges(g, squares[0])))
     with pytest.raises(NotSeparating):
         tree.insert_cycle(cyc, tree.root, (squares[1], squares[2]))
 
@@ -194,7 +196,7 @@ def test_region_subpiece_runs(grid3):
     squares = finite_faces(g)
     ring = sorted({d >> 1 for d in g.faces[g.infinite_face]})
     insert_face_boundary(tree, squares[0])
-    cyc = CompactCycle.from_darts(g, orient(g, ring))
+    cyc = CompactCycle(g, orient(g, ring))
     tree.insert_cycle(cyc, tree.root, (squares[1], g.infinite_face))
     r_ring = tree.parent(squares[1])
     assert tree.cycle_edge_sets[r_ring] == frozenset(ring)
@@ -204,11 +206,30 @@ def test_region_subpiece_runs(grid3):
     darts = tree.cycles[r_ring].darts()
     run_edges = {darts[0] >> 1, darts[1] >> 1, darts[-1] >> 1}
     group = set(cross) | run_edges
-    internal, runs = region_subpiece(tree, r_ring, group)
-    assert internal == set(cross)
-    assert len(runs) == 1, "wrap-around run must be stitched"
-    assert [d >> 1 for d in runs[0]] == [darts[-1] >> 1, darts[0] >> 1,
-                                         darts[1] >> 1]
+    # interior group edges plus the group's part of the bounding cycle
+    assert region_subpiece(tree, r_ring, group) == set(cross) | run_edges
+    everything = set(range(g.m))
+    assert region_subpiece(tree, r_ring, everything) == {
+        e for e in everything if tree.edge_in_region(e, r_ring)}
+
+
+def test_compact_cycle_checks_its_darts():
+    g = grid_graph(3, 3, rng=random.Random(4))
+    darts = orient(g, face_edges(g, finite_faces(g)[0]))
+    cyc = CompactCycle(g, darts)
+    assert cyc.darts() == tuple(darts)
+    assert cyc.nedges == len(cyc) == len(darts)
+    total = TieBreakWeight.zero()
+    for d in darts:
+        total = total + g.weights[d >> 1]
+    assert cyc.weight == total
+    assert len(set(g.weights[d >> 1] for d in darts)) > 1
+    with pytest.raises(InternalAssertion):
+        CompactCycle(g, [])
+    with pytest.raises(InternalAssertion):
+        CompactCycle(g, darts[:-1])
+    with pytest.raises(InternalAssertion):
+        CompactCycle(g, [darts[0], darts[2], darts[1], darts[3]])
 
 
 # -- face classes during builds ------------------------------------------------
@@ -261,7 +282,7 @@ def test_edge_in_region_with_a_bridge():
     tree = RegionTree(g)
     squares = finite_faces(g)
     ring = sorted({d >> 1 for d in g.faces[g.infinite_face]})
-    cyc = CompactCycle.from_darts(g, orient(g, ring))
+    cyc = CompactCycle(g, orient(g, ring))
     tree.insert_cycle(cyc, tree.root, (squares[0], g.infinite_face))
     check_edge_in_region(tree)
     for f in squares:

@@ -1,15 +1,13 @@
 import pytest
 
-from _search_reference import ddg_dijkstra, graph_adjacency
 from planarcut.baseline import dinic_min_cut
 from planarcut.ddg import build_ddgs
 from planarcut.generators import (grid_graph, random_delaunay_graph,
                                   theta_graph)
 from planarcut.planar_core import dual
 from planarcut.region_tree import RegionTree
-from planarcut.sep_cycle import (PieceContext, XCut, min_separating_cycle_fast,
-                                 min_separating_cycle_safe, new_stats,
-                                 parenthesis_labels)
+from planarcut.sep_cycle import (PieceContext, min_separating_cycle_fast,
+                                 min_separating_cycle_safe, new_stats)
 from planarcut.subdivision import recursive_subdivide
 
 
@@ -122,9 +120,6 @@ def test_fast_engine_matches_safe_on_whole_pieces(make):
             fast = min_separating_cycle_fast(ctx, tree.root, fa, fb)
             assert fast.darts() == safe.darts()
             assert fast.weight == safe.weight
-            ext = min_separating_cycle_fast(ctx, tree.root, fa, fb,
-                                            external_route=True)
-            assert ext.darts() == safe.darts()
             checked += 1
     assert checked >= 4
 
@@ -150,94 +145,8 @@ def test_fast_engine_with_sibling_tables():
                 fast = min_separating_cycle_fast(ctx, tree.root, fa, fb,
                                                  stats=stats)
                 assert fast.darts() == safe.darts()
-                ext = min_separating_cycle_fast(ctx, tree.root, fa, fb,
-                                                external_route=True)
-                assert ext.darts() == safe.darts()
                 checked += 1
     assert checked >= 4
-
-
-def build_cut_path(g, fa, fb):
-    adj = graph_adjacency(g)
-    seeds = sorted({g.head[d] for d in g.faces[fa]})
-    targets = sorted({g.head[d] for d in g.faces[fb]})
-    res = ddg_dijkstra(adj, seeds, targets=targets)
-    best = None
-    for t in targets:
-        entry = res.get(t, None)
-        if entry is None:
-            continue
-        if best is None or (entry.weight, entry.nedges) < (best.weight,
-                                                           best.nedges):
-            best = entry
-    assert best is not None
-    return XCut(g, best.darts(), best.src, fa, fb)
-
-
-def brute_components(g, xcut, outside_edges):
-    """Union-find over the explicit cut-open edge list."""
-    def resolve(v, d):
-        if v in xcut:
-            return (v, xcut.side_of(v, d))
-        return v
-
-    parent = {}
-
-    def find(a):
-        parent.setdefault(a, a)
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for e in outside_edges:
-        d = 2 * e
-        u, v = g.head[d ^ 1], g.head[d]
-        if e in xcut.edges:
-            for side in (0, 1):
-                union((u, side), (v, side))
-        else:
-            union(resolve(u, d), resolve(v, d ^ 1))
-    return find
-
-
-def test_parenthesis_labels_match_brute_connectivity():
-    g = grid_graph(4, 4)
-    nf = len(g.faces)
-    combos = [
-        (0, nf - 1, frozenset()),
-        (1, nf - 2, frozenset(range(0, g.m, 3))),
-        (0, nf - 2, frozenset(range(g.m // 2))),
-    ]
-    for fa, fb, inside in combos:
-        xcut = build_cut_path(g, fa, fb)
-        labels = parenthesis_labels(g, xcut, inside)
-        outside = [e for e in range(g.m) if e not in inside]
-        find = brute_components(g, xcut, outside)
-        nodes = sorted(labels, key=repr)
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                assert (labels[a] == labels[b]) == (find(a) == find(b))
-
-
-def test_parenthesis_labels_split_pockets():
-    # walling in both endpoint faces forces at least two pockets
-    g = grid_graph(4, 4)
-    finite = [f for f in range(len(g.faces)) if f != g.infinite_face]
-    fa, fb = finite[0], finite[-1]
-    xcut = build_cut_path(g, fa, fb)
-    inside = set(xcut.edges)
-    for f in (fa, fb):
-        inside.update(d >> 1 for d in g.faces[f])
-    for v in xcut.order:
-        inside.update(d >> 1 for d in g.out[v])
-    labels = parenthesis_labels(g, xcut, frozenset(inside))
-    assert len(set(labels.values())) >= 2
 
 
 def test_zero_length_cut_sides():

@@ -1,9 +1,6 @@
-import pytest
-
-from planarcut.errors import EndpointMismatch
-from planarcut.generators import embedding_from_coordinates, triangle_graph
-from planarcut.weights import (Hop, PathChain, TieBreakWeight, compare_chains,
-                               compare_paths, dart_hop, lex_dijkstra)
+from planarcut.generators import triangle_graph
+from planarcut.weights import (INDEX_INF, Arc, PathChain, TieBreakWeight,
+                               compare_chains, dart_arc, lex_dijkstra)
 
 W = TieBreakWeight
 
@@ -28,12 +25,32 @@ def test_weight_addition_and_scaling():
     assert W.of(9).is_finite
 
 
-def _chain(*darts_weights, start=0, heads=None):
+def _dart(src, dst, dart, w):
+    return Arc(src, dst, W.of(w), 1, INDEX_INF, dart, dart, None)
+
+
+def _extend(chain, arc):
+    return PathChain(arc.dst, chain, arc, chain.weight + arc.weight,
+                     chain.nedges + arc.nedges)
+
+
+def _chain(*darts_weights, start=0):
     """Tiny builder: chain from `start` through (dart, weight, head) triples."""
     c = PathChain.source(start)
     for dart, w, head in darts_weights:
-        c = c.extend(dart_hop(head, dart, W.of(w)))
+        c = _extend(c, _dart(c.node, head, dart, w))
     return c
+
+
+def test_dart_arc_reads_the_embedding():
+    g = triangle_graph(1, 2, 3)
+    for d in range(2 * g.m):
+        arc = dart_arc(g, d)
+        assert (arc.src, arc.dst) == (g.tail(d), g.head[d])
+        assert arc.weight == g.weights[d >> 1]
+        assert arc.nedges == 1
+        assert arc.darts() == [d]
+        assert arc.interior_vertices() == set()
 
 
 def test_chain_accumulates_weight_and_edges():
@@ -66,32 +83,36 @@ def test_compare_chains_vertex_index_rule():
 
 def test_compare_chains_shared_prefix_is_skipped():
     base = _chain((0, 1, 7))
-    a = base.extend(dart_hop(2, 2, W.of(1))).extend(dart_hop(5, 4, W.of(1)))
-    b = base.extend(dart_hop(3, 6, W.of(1))).extend(dart_hop(5, 8, W.of(1)))
+    a = _extend(_extend(base, _dart(7, 2, 2, 1)), _dart(2, 5, 4, 1))
+    b = _extend(_extend(base, _dart(7, 3, 6, 1)), _dart(3, 5, 8, 1))
     # suffixes diverge at vertices {2} vs {3}; the shared 7 must not matter
     assert compare_chains(a, b, int) == -1
 
 
 def test_compare_chains_expands_on_suffix_min_collision():
-    # both suffixes see minimum index 1, so exact sets decide: {3,1,5} vs {1,4,5}
-    a = _chain((0, 1, 3), (2, 1, 1), (4, 1, 5))
-    b = _chain((6, 1, 1), (8, 1, 4), (10, 1, 5))
-    # bury the discriminating vertices inside compressed hops
-    ca = PathChain.source(0).extend(
-        Hop(5, W.of(3), 3, interior_min=1, first_dart=0, last_dart=4,
-            expander=lambda h: [0, 2, 4]))
-    cb = PathChain.source(0).extend(
-        Hop(5, W.of(3), 3, interior_min=1, first_dart=6, last_dart=10,
-            expander=lambda h: [6, 8, 10]))
-    calls = []
+    # 0 -> 3 -> 1 -> 5 versus 0 -> 1 -> 4 -> 5, each buried in one composite
+    # arc: both suffixes see minimum index 1, so only the exact interior
+    # sets {3, 1} and {1, 4} can decide
+    def composite(path, darts):
+        parts = [_dart(u, v, d, 1)
+                 for u, v, d in zip(path, path[1:], darts)]
+        return Arc(path[0], path[-1], W.of(3), 3, min(path[1:-1]),
+                   darts[0], darts[-1], parts)
 
-    def expand_interior(hop):
-        calls.append(hop)
-        return {3, 1} if hop.first_dart == 0 else {1, 4}
-
-    assert compare_chains(ca, cb, int, expand_interior) == -1
-    assert calls, "tie on suffix minimum must trigger exact expansion"
-    assert compare_chains(a, b, int) == compare_chains(ca, cb, int, expand_interior)
+    ca = composite([0, 3, 1, 5], [6, 8, 10])
+    cb = composite([0, 1, 4, 5], [0, 2, 4])
+    root = PathChain.source(0)
+    a = _extend(root, ca)
+    b = _extend(root, cb)
+    # the dart order alone would rank b first
+    assert ca.darts() > cb.darts()
+    assert compare_chains(a, b, int) == -1
+    assert compare_chains(b, a, int) == 1
+    assert ca.interior_vertices() == {3, 1}
+    assert cb.interior_vertices() == {1, 4}
+    flat_a = _chain((6, 1, 3), (8, 1, 1), (10, 1, 5))
+    flat_b = _chain((0, 1, 1), (2, 1, 4), (4, 1, 5))
+    assert compare_chains(flat_a, flat_b, int) == -1
 
 
 def test_compare_chains_dart_fallback_for_parallel_edges():
@@ -106,8 +127,8 @@ def _adj_from_edges(n, edge_list):
     """edge_list: (u, v, w) with edge ids by position; returns adj callable."""
     table = {v: [] for v in range(n)}
     for e, (u, v, w) in enumerate(edge_list):
-        table[u].append(dart_hop(v, 2 * e, W.of(w)))
-        table[v].append(dart_hop(u, 2 * e + 1, W.of(w)))
+        table[u].append((v, _dart(u, v, 2 * e, w)))
+        table[v].append((u, _dart(v, u, 2 * e + 1, w)))
     return lambda v: table[v]
 
 
@@ -153,25 +174,3 @@ def test_lex_dijkstra_is_reproducible():
     for v in range(5):
         seqs = {tuple(r[v].darts()) for r in runs}
         assert len(seqs) == 1
-
-
-def test_compare_paths_on_triangle():
-    g = triangle_graph(1, 2, 3)
-    assert compare_paths(g, [0, 1], [0, 2, 1]) == -1
-    assert compare_paths(g, [0, 2, 1], [0, 1]) == 1
-    assert compare_paths(g, [0, 1], [0, 1]) == 0
-
-
-def test_compare_paths_square_tie():
-    pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    g = embedding_from_coordinates(pts, [(0, 1), (1, 2), (2, 3), (3, 0)],
-                                   [1, 1, 1, 1])
-    assert compare_paths(g, [0, 1, 2], [0, 3, 2]) == -1
-
-
-def test_compare_paths_rejects_mismatched_endpoints():
-    g = triangle_graph()
-    with pytest.raises(EndpointMismatch):
-        compare_paths(g, [0, 1], [0, 2])
-    with pytest.raises(EndpointMismatch):
-        compare_paths(g, [], [0])
