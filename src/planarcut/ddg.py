@@ -108,7 +108,7 @@ class DDGSet:
         self.stats = {"int_entries": 0, "ext_entries": 0, "dijkstra_sources": 0}
 
 
-def build_ddgs(sd: Subdivision, with_ext: bool = True) -> DDGSet:
+def build_ddgs(sd: Subdivision) -> DDGSet:
     ddg = DDGSet(sd)
     g = sd.g
     levels = sd.levels()
@@ -132,9 +132,6 @@ def build_ddgs(sd: Subdivision, with_ext: bool = True) -> DDGSet:
                 ddg.int_tables[pid] = _all_pairs(adj, piece.boundary)
                 ddg.stats["dijkstra_sources"] += len(piece.boundary)
             ddg.stats["int_entries"] += len(ddg.int_tables[pid])
-
-    if not with_ext:
-        return ddg
 
     for level in levels:
         for pid in level:

@@ -39,7 +39,7 @@ MAGIC = b"PCO1"
 def new_build_stats() -> dict:
     s = new_stats()
     s.update({"inserts": 0, "relocations": 0, "fallbacks": 0,
-              "cross_checks": 0, "pieces": 0, "levels": 0,
+              "pieces": 0, "levels": 0,
               "host_vertices": 0, "host_edges": 0, "host_faces": 0})
     return s
 
@@ -101,12 +101,11 @@ class HostChain:
 
 
 class _Builder:
-    def __init__(self, chain: HostChain, safe_cycles: bool,
-                 cross_check: bool, stats: dict, insert_hook=None):
+    def __init__(self, chain: HostChain, safe_cycles: bool, stats: dict,
+                 insert_hook=None):
         self.chain = chain
         self.g = chain.host
         self.safe_cycles = safe_cycles
-        self.cross_check = cross_check
         self.stats = stats
         self.insert_hook = insert_hook
         self.sd = recursive_subdivide(self.g)
@@ -180,20 +179,12 @@ class _Builder:
             return min_separating_cycle_safe(self.g, self.tree, region,
                                              fa, fb, self.stats)
         try:
-            fast = min_separating_cycle_fast(ctx, region, fa, fb,
+            return min_separating_cycle_fast(ctx, region, fa, fb,
                                              stats=self.stats)
         except FallbackNeeded:
             self.stats["fallbacks"] += 1
             return min_separating_cycle_safe(self.g, self.tree, region,
                                              fa, fb, self.stats)
-        if self.cross_check:
-            safe = min_separating_cycle_safe(self.g, self.tree, region,
-                                             fa, fb, self.stats)
-            if fast.darts() != safe.darts():
-                raise InternalAssertion(
-                    f"engines disagree for faces {fa},{fb} in region {region}")
-            self.stats["cross_checks"] += 1
-        return fast
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +551,6 @@ class MinCutOracle:
         (base, eps), _ = self._pmi.query(s, t)
         return base
 
-    def query_weight_parts(self, s: int, t: int) -> tuple[int, int]:
-        """(base, epsilon count) of the minimum st-cut weight."""
-        self._check_pair(s, t)
-        (base, eps), _ = self._pmi.query(s, t)
-        return base, eps
-
     def report_cut(self, s: int, t: int) -> list[int]:
         """Edge ids of a minimum st-cut; touched work is recorded in
         last_report_counter and stays proportional to the cut size."""
@@ -666,7 +651,6 @@ class MinCutOracle:
 
 def build_oracle(g0: PlanarEmbedding, mode: str = "cut",
                  safe_cycles: bool = False,
-                 cross_check: bool = False,
                  observer=None, insert_hook=None) -> MinCutOracle:
     """Preprocess `g0` for min-cut queries (mode "cut") or its minimum
     cycle basis (mode "mcb").  `observer`, if given, is called with the
@@ -684,7 +668,7 @@ def build_oracle(g0: PlanarEmbedding, mode: str = "cut",
         raise InternalAssertion(
             f"host covers {chain.group_count} groups, expected {n_nodes}")
 
-    builder = _Builder(chain, safe_cycles, cross_check, stats, insert_hook)
+    builder = _Builder(chain, safe_cycles, stats, insert_hook)
     tree = builder.run()
     if observer is not None:
         observer(builder)

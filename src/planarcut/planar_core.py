@@ -15,17 +15,10 @@ correspond one-to-one to primal vertices.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (Disconnected, InputError, InternalAssertion,
                      NegativeWeight, NonPlanarEmbedding, UnknownEdge,
                      UnknownVertex)
 from .weights import TieBreakWeight
-
-TAG_SUBDIVISION = "subdivision-zero"
-TAG_TRIANGULATION = "triangulation-infinite"
-TAG_EPSILON = "dual-triangulation-epsilon"
-TAG_BOUNDING = "bounding-zero"
 
 
 class PlanarEmbedding:
@@ -37,7 +30,7 @@ class PlanarEmbedding:
 
     def __init__(self, n: int, head: list[int], out: list[list[int]],
                  weights: list[TieBreakWeight], scale: int = 1,
-                 infinite_face: int | None = None, _skip_checks: bool = False):
+                 infinite_face: int | None = None):
         self.n = n
         self.m = len(weights)
         self.head = head
@@ -62,7 +55,7 @@ class PlanarEmbedding:
                 if head[d ^ 1] != v:
                     raise NonPlanarEmbedding(f"dart {d} listed at vertex {v}, tail is {head[d ^ 1]}")
                 slot_of[d] = i
-        if not _skip_checks and any(s == -1 for s in slot_of):
+        if any(s == -1 for s in slot_of):
             raise NonPlanarEmbedding("rotation system misses some darts")
         self.slot_of = slot_of
 
@@ -89,11 +82,10 @@ class PlanarEmbedding:
         self.face_of = face_of
         self.faces = faces
 
-        if not _skip_checks:
-            self._check_connected()
-            if n - self.m + len(faces) != 2:
-                raise NonPlanarEmbedding(
-                    f"Euler check failed: V={n} E={self.m} F={len(faces)}")
+        self._check_connected()
+        if n - self.m + len(faces) != 2:
+            raise NonPlanarEmbedding(
+                f"Euler check failed: V={n} E={self.m} F={len(faces)}")
 
         if infinite_face is None:
             infinite_face = 0 if faces else -1
@@ -230,8 +222,7 @@ def dual(g: PlanarEmbedding) -> PlanarEmbedding:
     """
     head = [g.face_of[d] for d in range(2 * g.m)]
     out = [[d ^ 1 for d in orbit] for orbit in g.faces]
-    dg = PlanarEmbedding(len(g.faces), head, out, list(g.weights), g.scale,
-                         infinite_face=None, _skip_checks=False)
+    dg = PlanarEmbedding(len(g.faces), head, out, list(g.weights), g.scale)
     dg.dual_of = g
     face_to_vertex = {}
     for f, orbit in enumerate(dg.faces):
@@ -240,7 +231,6 @@ def dual(g: PlanarEmbedding) -> PlanarEmbedding:
             raise InternalAssertion("dual face does not collapse to one primal vertex")
         face_to_vertex[f] = prim.pop()
     dg.meta["face_to_primal_vertex"] = face_to_vertex
-    dg.meta["vertex_to_dual_face"] = {v: f for f, v in face_to_vertex.items()}
     return dg
 
 
@@ -326,28 +316,17 @@ def _is_bond(dg: PlanarEmbedding, edge_set: set[int]) -> bool:
 class TransformTrace:
     """How one structural transform rewrote the embedding.
 
-    dart_origin[d]   -> dart of the previous graph (-1 for added structure)
-    vertex_origin[v] -> vertex of the previous graph (-1 for new vertices)
-    face_cover[f]    -> previous face geometrically containing face f
-    face_map         -> previous face -> representative new face
-    added_edges      -> tag -> list of new edge ids
-    vertex_tree_map  -> expanded vertex -> its copies (degree-3 pass only)
+    dart_origin[d] -> dart of the previous graph (-1 for added structure)
+    face_cover[f]  -> previous face geometrically containing face f
+
+    Edges a transform adds get ids after the previous graph's edges.
     """
 
-    __slots__ = ("kind", "dart_origin", "vertex_origin", "face_cover",
-                 "face_map", "added_edges", "vertex_tree_map")
+    __slots__ = ("dart_origin", "face_cover")
 
-    def __init__(self, kind: str, dart_origin: list[int],
-                 vertex_origin: list[int], face_cover: list[int],
-                 face_map: dict[int, int], added_edges: dict[str, list[int]],
-                 vertex_tree_map: dict[int, list[int]] | None = None):
-        self.kind = kind
+    def __init__(self, dart_origin: list[int], face_cover: list[int]):
         self.dart_origin = dart_origin
-        self.vertex_origin = vertex_origin
         self.face_cover = face_cover
-        self.face_map = face_map
-        self.added_edges = added_edges
-        self.vertex_tree_map = vertex_tree_map or {}
 
 
 class _Mutable:
@@ -363,9 +342,7 @@ class _Mutable:
         self.n = g.n
         self.head = list(g.head)
         self.weights = list(g.weights)
-        self.tags: list[str | None] = [None] * g.m
         self.dart_origin = list(range(2 * g.m))
-        self.vertex_origin = list(range(g.n))
         size = 2 * g.m
         self.rot_next = [0] * size
         self.rot_prev = [0] * size
@@ -381,11 +358,10 @@ class _Mutable:
 
     # rotations -------------------------------------------------------------
 
-    def new_vertex(self, origin: int = -1) -> int:
+    def new_vertex(self) -> int:
         v = self.n
         self.n += 1
         self.anchor.append(-1)
-        self.vertex_origin.append(origin)
         return v
 
     def _grow_darts(self) -> int:
@@ -422,12 +398,10 @@ class _Mutable:
             self.anchor[v] = nx
 
     def add_edge(self, u: int, v: int, weight: TieBreakWeight,
-                 tag: str | None, after_u: int | None,
-                 after_v: int | None) -> int:
+                 after_u: int | None, after_v: int | None) -> int:
         """New edge u-v; its out-dart at u goes clockwise-after after_u."""
         e = len(self.weights)
         self.weights.append(weight)
-        self.tags.append(tag)
         d = self._grow_darts()
         self.head[d] = v
         self.head[d + 1] = u
@@ -435,8 +409,7 @@ class _Mutable:
         self._attach(d + 1, v, after_v)
         return e
 
-    def freeze(self, infinite_face_prev: int | None = None,
-               kind: str = "transform") -> tuple[PlanarEmbedding, TransformTrace]:
+    def freeze(self, infinite_face_prev: int | None) -> tuple[PlanarEmbedding, TransformTrace]:
         out: list[list[int]] = []
         for v in range(self.n):
             row = []
@@ -452,19 +425,10 @@ class _Mutable:
         g2 = PlanarEmbedding(self.n, self.head, out, self.weights,
                              self.src.scale, infinite_face=0)
         face_cover = self._face_cover(g2)
-        face_map: dict[int, int] = {}
-        for f2, f1 in enumerate(face_cover):
-            if f1 not in face_map:
-                face_map[f1] = f2
-        added: dict[str, list[int]] = {}
-        for e, tag in enumerate(self.tags):
-            if tag is not None:
-                added.setdefault(tag, []).append(e)
-        trace = TransformTrace(kind, self.dart_origin, self.vertex_origin,
-                               face_cover, face_map, added)
         if infinite_face_prev is not None:
-            g2.infinite_face = face_map[infinite_face_prev]
-        return g2, trace
+            # the first new face inside the previous infinite face
+            g2.infinite_face = face_cover.index(infinite_face_prev)
+        return g2, TransformTrace(self.dart_origin, face_cover)
 
     def _face_cover(self, g2: PlanarEmbedding) -> list[int]:
         prev = self.src
@@ -526,7 +490,7 @@ def subdivide_to_simple(g: PlanarEmbedding) -> tuple[PlanarEmbedding, TransformT
 
     # a lone edge (or any residual short walk) still yields a face of size < 3
     while True:
-        g2, trace = mut.freeze(g.infinite_face, kind="subdivide_to_simple")
+        g2, trace = mut.freeze(g.infinite_face)
         short = [f for f in range(len(g2.faces)) if len(g2.faces[f]) < 3]
         if not short:
             return g2, trace
@@ -536,14 +500,13 @@ def subdivide_to_simple(g: PlanarEmbedding) -> tuple[PlanarEmbedding, TransformT
 
 def _subdivide_edge(mut: _Mutable, e: int) -> int:
     """Split edge e at a fresh vertex; e keeps its id and weight as the first
-    half, the second half weighs zero and is tagged."""
+    half, the second half weighs zero."""
     d_forward = 2 * e
     d_back = 2 * e + 1
     v = mut.head[d_forward]
     x = mut.new_vertex()
     e2 = len(mut.weights)
     mut.weights.append(TieBreakWeight.zero())
-    mut.tags.append(TAG_SUBDIVISION)
     nd = mut._grow_darts()        # nd: x -> v, nd+1: v -> x
     mut.head[nd] = v
     mut.head[nd + 1] = x
@@ -601,13 +564,13 @@ def triangulate(g: PlanarEmbedding,
             hv = mut.head[y]
             # chord tv->hv: out-dart at tv goes just before x (cw), the back
             # dart at hv just after rev(y), closing triangle [x, y, back]
-            e = mut.add_edge(tv, hv, inf_w, TAG_TRIANGULATION,
+            e = mut.add_edge(tv, hv, inf_w,
                              after_u=mut.rot_prev[x], after_v=y ^ 1)
             c_fwd = 2 * e
             walk[pos:pos + 2] = [c_fwd]
             if pos + 2 > k:   # wrapped pair: y was walk[0]
                 walk.pop(0)
-    return mut.freeze(g.infinite_face, kind="triangulate")
+    return mut.freeze(g.infinite_face)
 
 
 def degree_three_transform(g: PlanarEmbedding) -> tuple[PlanarEmbedding, TransformTrace]:
@@ -616,7 +579,6 @@ def degree_three_transform(g: PlanarEmbedding) -> tuple[PlanarEmbedding, Transfo
     maximum degree three; vertices of degree three or less are untouched."""
     mut = _Mutable(g)
     eps = TieBreakWeight.epsilon()
-    tree_map: dict[int, list[int]] = {}
     for v in range(g.n):
         rot = g.out[v]
         k = len(rot)
@@ -626,14 +588,14 @@ def degree_three_transform(g: PlanarEmbedding) -> tuple[PlanarEmbedding, Transfo
         # rot[k-2] and rot[k-1].  Consecutive rotation darts land on the same
         # or adjacent copies except across the wrap corner, whose face walk
         # runs along the whole copy path.
-        copies = [v] + [mut.new_vertex(origin=v) for _ in range(k - 3)]
+        copies = [v] + [mut.new_vertex() for _ in range(k - 3)]
         for d in rot[2:]:
             mut._detach(d, v)
         prev = v
         attach_after = rot[1]
         for i in range(1, k - 2):
             c = copies[i]
-            e = mut.add_edge(prev, c, eps, TAG_EPSILON,
+            e = mut.add_edge(prev, c, eps,
                              after_u=attach_after, after_v=None)
             after = 2 * e + 1
             darts = [rot[i + 1]] if i < k - 3 else [rot[k - 2], rot[k - 1]]
@@ -643,10 +605,7 @@ def degree_three_transform(g: PlanarEmbedding) -> tuple[PlanarEmbedding, Transfo
                 after = d
             prev = c
             attach_after = darts[-1]
-        tree_map[v] = copies
-    g2, trace = mut.freeze(g.infinite_face, kind="degree_three_transform")
-    trace.vertex_tree_map = tree_map
-    return g2, trace
+    return mut.freeze(g.infinite_face)
 
 
 def add_bounding_cycle(g: PlanarEmbedding) -> tuple[PlanarEmbedding, TransformTrace]:
@@ -669,7 +628,7 @@ def add_bounding_cycle(g: PlanarEmbedding) -> tuple[PlanarEmbedding, TransformTr
     # zero triangle s0-s1-s2; rotations fixed up after spokes are in
     ring = []
     for j in range(3):
-        ring.append(mut.add_edge(s[j], s[(j + 1) % 3], zero, TAG_BOUNDING,
+        ring.append(mut.add_edge(s[j], s[(j + 1) % 3], zero,
                                  after_u=None, after_v=None))
 
     target = [3 * i // k for i in range(k)]
@@ -680,19 +639,18 @@ def add_bounding_cycle(g: PlanarEmbedding) -> tuple[PlanarEmbedding, TransformTr
         a_i = walk[i]
         w_i = g.head[a_i]
         t = target[i]
-        e = mut.add_edge(w_i, s[t], inf_w, TAG_TRIANGULATION,
-                         after_u=a_i ^ 1, after_v=None)
+        e = mut.add_edge(w_i, s[t], inf_w, after_u=a_i ^ 1, after_v=None)
         spokes_at_sky[t].append(2 * e + 1)
         t_prev = target[i - 1]
         if t_prev != t and i > 0:
             # arc boundary: a second spoke back to the previous sky vertex,
             # placed between rev(a_i) and the first spoke
-            e2 = mut.add_edge(w_i, s[t_prev], inf_w, TAG_TRIANGULATION,
+            e2 = mut.add_edge(w_i, s[t_prev], inf_w,
                               after_u=a_i ^ 1, after_v=None)
             spokes_at_sky[t_prev].append(2 * e2 + 1)
     # the wraparound boundary at position 0 belongs at the tail of the last
     # arc's spoke list so each sky rotation stays in cyclic walk order
-    e2 = mut.add_edge(g.head[walk[0]], s[target[-1]], inf_w, TAG_TRIANGULATION,
+    e2 = mut.add_edge(g.head[walk[0]], s[target[-1]], inf_w,
                       after_u=walk[0] ^ 1, after_v=None)
     spokes_at_sky[target[-1]].append(2 * e2 + 1)
     # order each sky vertex's rotation: [edge to next sky, spokes in reverse
@@ -708,7 +666,7 @@ def add_bounding_cycle(g: PlanarEmbedding) -> tuple[PlanarEmbedding, TransformTr
         for d in seq:
             mut._attach(d, s[j], prev)
             prev = d
-    g2, trace = mut.freeze(None, kind="add_bounding_cycle")
+    g2, trace = mut.freeze(None)
     # new infinite face: the orbit outside the zero triangle, i.e. the face of
     # the ring dart whose orbit has exactly the three sky vertices
     for f, orbit in enumerate(g2.faces):
@@ -718,7 +676,5 @@ def add_bounding_cycle(g: PlanarEmbedding) -> tuple[PlanarEmbedding, TransformTr
                 break
     else:
         raise InternalAssertion("sky triangle face not found")
-    trace.added_edges.setdefault(TAG_BOUNDING, [])
     g2.meta["bounding_cycle_edges"] = list(ring)
-    g2.meta["sky_vertices"] = s
     return g2, trace

@@ -18,8 +18,12 @@ bounding cycle exactly when that region separates the edge's faces.
 
 Nothing relocates while an insertion searches, so it asks the forest once
 per face for the face's class: the child of the split region toward it, or
-None outside.  Edge membership follows from the two classes (`_in_region`),
-and the classes met are the members to move.
+None outside.  Edge membership follows from the two classes (see
+`edge_in_region`), and the classes met are the members to move.
+
+Every edge must have two different faces.  The oracle's host has no bridge
+(its faces are triangles before the degree-3 expansion), and the
+constructor checks this once.
 """
 
 from __future__ import annotations
@@ -81,8 +85,9 @@ class RegionTree:
         self.children: dict[int, set[int]] = {self.root: set()}
         self.face_child_count: dict[int, int] = {self.root: self.n_faces}
         self.cycles: dict[int, CompactCycle | None] = {}
-        self.cycle_edge_sets: dict[int, frozenset] = {}
-        self.stats = {"inserts": 0, "relocations": 0, "search_edges": 0}
+        self.stats = {"inserts": 0, "relocations": 0}
+        if any(g.face_of[2 * e] == g.face_of[2 * e + 1] for e in range(g.m)):
+            raise InternalAssertion("an edge has the same face on both sides")
 
         self.dt.add_node(self.root)
         for f in range(self.n_faces):
@@ -96,8 +101,6 @@ class RegionTree:
             darts = _orient_edge_cycle(g, ring)
             root_cycle = CompactCycle(g, darts)
         self.cycles[self.root] = root_cycle
-        self.cycle_edge_sets[self.root] = (root_cycle.edge_ids()
-                                           if root_cycle else frozenset())
 
         # static dual spanning tree for enclosure parity walks
         par_face = [-2] * self.n_faces
@@ -141,21 +144,14 @@ class RegionTree:
     def edge_home_region(self, e: int) -> int:
         if not 0 <= e < self.g.m:
             raise UnknownEdge(f"edge {e}")
-        f1 = self.g.face_of[2 * e]
-        f2 = self.g.face_of[2 * e + 1]
-        if f1 == f2:
-            return self.parent(f1)
-        return self.lca(f1, f2)
+        return self.lca(self.g.face_of[2 * e], self.g.face_of[2 * e + 1])
 
     def is_boundary_edge(self, e: int, region: int) -> bool:
         """Whether e lies on the region's bounding cycle: the region holds
         exactly one of e's faces (its home region is then a proper
         ancestor of the region)."""
-        f1 = self.g.face_of[2 * e]
-        f2 = self.g.face_of[2 * e + 1]
-        if f1 == f2:
-            return False
-        return self.is_descendant(region, f1) != self.is_descendant(region, f2)
+        return (self.is_descendant(region, self.g.face_of[2 * e])
+                != self.is_descendant(region, self.g.face_of[2 * e + 1]))
 
     def enclosed_parity(self, face: int, cycle_edges: frozenset) -> bool:
         """True iff `face` is enclosed by the cycle with the given edge set."""
@@ -174,12 +170,15 @@ class RegionTree:
 
     def edge_in_region(self, e: int, region: int) -> bool:
         """Whether e belongs to the region's closed graph (interior edges,
-        child bounding cycles, or the region's own bounding cycle)."""
-        f1 = self.g.face_of[2 * e]
-        f2 = self.g.face_of[2 * e + 1]
-        c1 = self.dt.child_toward(region, f1)
-        c2 = c1 if f1 == f2 else self.dt.child_toward(region, f2)
-        return _in_region(f1, f2, c1, c2)
+        child bounding cycles, or the region's own bounding cycle).
+
+        Each face's class is the child of the region toward it, or None
+        outside.  An edge with one face inside lies on the bounding cycle;
+        one with both inside is interior or on a child's cycle exactly when
+        the region is the lca of its faces.  These are the edges whose two
+        faces have different classes."""
+        return (self.dt.child_toward(region, self.g.face_of[2 * e])
+                != self.dt.child_toward(region, self.g.face_of[2 * e + 1]))
 
     # -- insertion ----------------------------------------------------------------
 
@@ -239,7 +238,6 @@ class RegionTree:
             self.dt.link(new_region, region)
             self.children[region].add(new_region)
             self.cycles[new_region] = cycle
-            self.cycle_edge_sets[new_region] = edges_c
             r_in, r_out = new_region, region
         else:
             # relocated members are outside: the new region takes the old
@@ -253,11 +251,9 @@ class RegionTree:
             self.dt.link(region, new_region)
             self.children[new_region].add(region)
             self.cycles[new_region] = self.cycles[region]
-            self.cycle_edge_sets[new_region] = self.cycle_edge_sets[region]
             if region == self.root:
                 self.root = new_region
             self.cycles[region] = cycle
-            self.cycle_edge_sets[region] = edges_c
             r_in, r_out = region, new_region
 
         if self.is_descendant(r_in, f) == self.is_descendant(r_in, gface):
@@ -324,10 +320,10 @@ class RegionTree:
                     f2 = face_of[2 * e + 1]
                     c1 = classes[f1]
                     c2 = classes[f2]
-                    if not _in_region(f1, f2, c1, c2):
+                    if c1 == c2:
+                        # not in the region (see edge_in_region)
                         continue
                     seen[s].add(e)
-                    self.stats["search_edges"] += 1
                     for fid, c in ((f1, c1), (f2, c2)):
                         if c is not None:
                             if len(witness[s]) < 4:
@@ -379,18 +375,6 @@ class _FaceClasses(dict):
     def __missing__(self, face: int):
         c = self[face] = self.dt.child_toward(self.region, face)
         return c
-
-
-def _in_region(f1: int, f2: int, c1, c2) -> bool:
-    """Whether the edge between faces f1 and f2 belongs to a region's closed
-    graph, given each face's class (child of the region toward it, or None
-    outside).  An edge with one face inside lies on the bounding cycle; one
-    with both inside is interior or on a child's cycle exactly when the
-    region is its home: the lca of two distinct faces, or the parent of a
-    face on both sides."""
-    if c1 is None or c2 is None:
-        return c1 is not c2
-    return c1 != c2 if f1 != f2 else c1 == f1
 
 
 def _orient_edge_cycle(g: PlanarEmbedding, edge_ids) -> list[int]:
@@ -464,6 +448,7 @@ def regions_with_unseparated_pair(tree: RegionTree,
 def region_subpiece(tree: RegionTree, region: int, group_edges) -> set:
     """Edges of the region subpiece: the group edges whose home is the
     region, plus the group edges on the region's bounding cycle."""
-    cyc = tree.cycle_edge_sets.get(region, frozenset())
+    cyc = tree.cycles.get(region)
+    on_cycle = cyc.edge_ids() if cyc is not None else frozenset()
     return {e for e in group_edges
-            if tree.edge_home_region(e) == region or e in cyc}
+            if tree.edge_home_region(e) == region or e in on_cycle}

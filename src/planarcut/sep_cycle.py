@@ -199,35 +199,19 @@ class CutUniverse:
 # candidate cycles and their total order
 
 
-class _Candidate:
-    __slots__ = ("weight", "nedges", "darts", "vset", "eset", "_canon")
-
-    def __init__(self, g: PlanarEmbedding, weight, darts):
-        self.weight = weight
-        self.nedges = len(darts)
-        self.darts = list(darts)
-        self.vset = frozenset(g.head[d] for d in darts)
-        self.eset = frozenset(d >> 1 for d in darts)
-        self._canon = None
-
-    def canon(self) -> tuple:
-        """Smallest dart tuple over both orientations and all rotations."""
-        if self._canon is None:
-            best = None
-            for seq in (self.darts,
-                        [d ^ 1 for d in reversed(self.darts)]):
-                lo = min(seq)
-                for i, d in enumerate(seq):
-                    if d != lo:
-                        continue
-                    rot = tuple(seq[i:]) + tuple(seq[:i])
-                    if best is None or rot < best:
-                        best = rot
-            self._canon = best
-        return self._canon
+def _canonical_darts(darts) -> tuple:
+    """Smallest dart tuple over both orientations and all rotations of a
+    simple cycle."""
+    best = None
+    for seq in (darts, [d ^ 1 for d in reversed(darts)]):
+        i = seq.index(min(seq))
+        rot = tuple(seq[i:]) + tuple(seq[:i])
+        if best is None or rot < best:
+            best = rot
+    return best
 
 
-def _candidate_beats(a: _Candidate, b: _Candidate) -> bool:
+def _beats(g: PlanarEmbedding, a: CompactCycle, b: CompactCycle) -> bool:
     """Same tie-break ladder as path comparison: weight, edge count, then
     the smaller uncommon vertex index, the smaller uncommon edge id, and
     finally the canonical dart tuple."""
@@ -235,33 +219,20 @@ def _candidate_beats(a: _Candidate, b: _Candidate) -> bool:
         return a.weight < b.weight
     if a.nedges != b.nedges:
         return a.nedges < b.nedges
-    if a.vset != b.vset:
-        return min(a.vset ^ b.vset) in a.vset
-    if a.eset != b.eset:
-        return min(a.eset ^ b.eset) in a.eset
-    return a.canon() < b.canon()
-
-
-def _consider(g, best: _Candidate | None,
-              chain: PathChain) -> _Candidate | None:
-    darts = chain.darts()
-    cand = _Candidate(g, chain.weight, darts)
-    # a closed walk that reuses an edge decomposes into the simple winner
-    # plus nonnegative slack, so it can be dropped outright
-    if len(cand.eset) != cand.nedges:
-        return best
-    heads = [g.head[d] for d in darts]
-    if len(set(heads)) != len(heads):
-        return best
-    if best is None or _candidate_beats(cand, best):
-        return cand
-    return best
+    va, vb = frozenset(a.vertices(g)), frozenset(b.vertices(g))
+    if va != vb:
+        return min(va ^ vb) in va
+    ea, eb = a.edge_ids(), b.edge_ids()
+    if ea != eb:
+        return min(ea ^ eb) in ea
+    return a.darts() < b.darts()
 
 
 def _crossing_sweep(universe: CutUniverse, xverts,
-                    stats: dict) -> _Candidate | None:
+                    stats: dict) -> CompactCycle | None:
     """One shortest-path run per crossing vertex, from its side-0 copy to
-    its side-1 copy.  Returns the best simple cycle found."""
+    its side-1 copy.  Returns the best simple cycle found, with canonical
+    darts."""
     g = universe.g
     best = None
     for x in xverts:
@@ -272,7 +243,15 @@ def _crossing_sweep(universe: CutUniverse, xverts,
         if chain is None or chain.nedges == 0:
             continue
         stats["candidates"] += 1
-        best = _consider(g, best, chain)
+        darts = chain.darts()
+        # a closed walk that reuses an edge or a vertex decomposes into the
+        # simple winner plus nonnegative slack, so it can be dropped outright
+        if (len({d >> 1 for d in darts}) != len(darts)
+                or len({g.head[d] for d in darts}) != len(darts)):
+            continue
+        cand = CompactCycle(g, _canonical_darts(darts))
+        if best is None or _beats(g, cand, best):
+            best = cand
     return best
 
 
@@ -340,8 +319,7 @@ def min_separating_cycle_safe(g: PlanarEmbedding, tree: RegionTree,
     best = _crossing_sweep(universe, xcut.order, stats)
     if best is None:
         raise NoPath(f"no cycle separates faces {face_a} and {face_b}")
-
-    return CompactCycle(g, best.canon())
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -457,4 +435,4 @@ def min_separating_cycle_fast(ctx: PieceContext, region: int,
     best = _crossing_sweep(universe, xverts, stats)
     if best is None:
         raise FallbackNeeded("no separating cycle in the table universe")
-    return CompactCycle(g, best.canon())
+    return best

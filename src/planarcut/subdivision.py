@@ -28,7 +28,7 @@ _EXACT_CANDIDATES = 8
 
 class Piece:
     __slots__ = ("id", "parent", "children", "edges", "vertices", "boundary",
-                 "depth", "split_kind")
+                 "depth")
 
     def __init__(self, pid: int, parent: int, edges: list[int], depth: int):
         self.id = pid
@@ -38,7 +38,6 @@ class Piece:
         self.vertices: list[int] = []       # sorted host vertex ids
         self.boundary: list[int] = []       # sorted host vertex ids
         self.depth = depth
-        self.split_kind = "leaf"
 
     @property
     def is_leaf(self) -> bool:
@@ -48,15 +47,13 @@ class Piece:
 class SubPiece:
     """Embedded subgraph of the host induced by a piece's edges."""
 
-    __slots__ = ("sub", "v_host", "e_host", "v_sub", "e_sub", "hole_faces")
+    __slots__ = ("sub", "v_host", "e_host", "hole_faces")
 
     def __init__(self, sub: PlanarEmbedding, v_host: list[int],
                  e_host: list[int], hole_faces: int):
         self.sub = sub
         self.v_host = v_host
         self.e_host = e_host
-        self.v_sub = {h: i for i, h in enumerate(v_host)}
-        self.e_sub = {h: i for i, h in enumerate(e_host)}
         self.hole_faces = hole_faces
 
 
@@ -67,7 +64,6 @@ class Subdivision:
         self.root = 0
         self.edge_leaf: list[int] = [-1] * g.m
         self.stats: dict = {"fallback_splits": 0, "separator_splits": 0}
-        self._subcache: dict[int, SubPiece] = {}
 
     def levels(self) -> list[list[int]]:
         depth = max((p.depth for p in self.pieces), default=0)
@@ -77,9 +73,8 @@ class Subdivision:
         return out
 
     def subpiece(self, pid: int) -> SubPiece:
-        if pid not in self._subcache:
-            self._subcache[pid] = _build_subpiece(self.g, self.pieces[pid])
-        return self._subcache[pid]
+        """The embedded subgraph of one piece, built afresh on each call."""
+        return _build_subpiece(self.g, self.pieces[pid])
 
 
 def _edge_vertices(g: PlanarEmbedding, edges: list[int]) -> list[int]:
@@ -306,7 +301,6 @@ def recursive_subdivide(g: PlanarEmbedding) -> Subdivision:
         pid = queue.popleft()
         piece = sd.pieces[pid]
         if len(piece.edges) <= 1:
-            piece.split_kind = "leaf"
             if piece.edges:
                 sd.edge_leaf[piece.edges[0]] = pid
             continue
@@ -315,10 +309,8 @@ def recursive_subdivide(g: PlanarEmbedding) -> Subdivision:
             groups = _separator_split(sd, piece)
         if groups is None:
             groups = _fallback_split(sd, piece)
-            piece.split_kind = "fallback"
             sd.stats["fallback_splits"] += 1
         else:
-            piece.split_kind = "separator"
             sd.stats["separator_splits"] += 1
         for part in groups:
             child = Piece(len(sd.pieces), pid, sorted(part), piece.depth + 1)

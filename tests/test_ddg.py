@@ -86,7 +86,7 @@ def check_ext_against_direct(g, sd, ddg):
 def test_grid_int_tables_match_direct_search():
     g = grid_graph(4, 4)
     sd = recursive_subdivide(g)
-    ddg = build_ddgs(sd, with_ext=False)
+    ddg = build_ddgs(sd)
     check_against_direct(g, sd, ddg)
     assert ddg.int_tables[sd.root] == {}
 
@@ -135,7 +135,7 @@ def test_union_adjacency_search_spans_pieces():
     # the whole graph, for vertices on child boundaries
     g = grid_graph(4, 4)
     sd = recursive_subdivide(g)
-    ddg = build_ddgs(sd, with_ext=False)
+    ddg = build_ddgs(sd)
     root = sd.pieces[sd.root]
     tables = [ddg.int_tables[c] for c in root.children]
     adj = table_adjacency(tables)

@@ -7,9 +7,7 @@ from planarcut.errors import (Disconnected, InputError, NegativeWeight,
 from planarcut.generators import (embedding_from_coordinates, grid_graph,
                                   random_delaunay_graph, random_grid_subgraph,
                                   theta_graph, triangle_graph)
-from planarcut.planar_core import (TAG_BOUNDING, TAG_EPSILON,
-                                   TAG_SUBDIVISION, TAG_TRIANGULATION,
-                                   PlanarEmbedding, add_bounding_cycle,
+from planarcut.planar_core import (PlanarEmbedding, add_bounding_cycle,
                                    build_embedding, cut_cycle_duality_check,
                                    degree_three_transform, dual,
                                    subdivide_to_simple, triangulate)
@@ -178,7 +176,7 @@ def test_subdivide_parallel_bundle(tri):
     assert is_simple(g2)
     assert euler_ok(g2)
     assert finite_base_total(g2) == finite_base_total(dg)
-    added = trace.added_edges.get(TAG_SUBDIVISION, [])
+    added = range(dg.m, g2.m)
     assert len(added) == 2
     assert all(g2.edge_weight(e) == W.zero() for e in added)
 
@@ -201,7 +199,7 @@ def test_subdivide_single_edge():
 
 def test_subdivide_keeps_infinite_face(grid3):
     g2, trace = subdivide_to_simple(grid3)
-    assert g2.infinite_face == trace.face_map[grid3.infinite_face]
+    assert trace.face_cover[g2.infinite_face] == grid3.infinite_face
 
 
 # -- triangulate ---------------------------------------------------------------
@@ -210,7 +208,7 @@ def test_triangulate_grid(grid3):
     g2, trace = triangulate(grid3)
     assert euler_ok(g2)
     assert all(len(f) == 3 for f in g2.faces)
-    added = trace.added_edges[TAG_TRIANGULATION]
+    added = range(grid3.m, g2.m)
     # each size-k face takes k-3 chords: four quads and the outer octagon
     assert len(added) == 4 * 1 + 5
     assert all(not g2.edge_weight(e).is_finite for e in added)
@@ -221,7 +219,7 @@ def test_triangulate_respects_face_restriction(grid3):
     inf = grid3.infinite_face
     finite = [f for f in range(len(grid3.faces)) if f != inf]
     g2, trace = triangulate(grid3, faces=finite)
-    assert g2.infinite_face == trace.face_map[inf]
+    assert trace.face_cover[g2.infinite_face] == inf
     assert len(g2.faces[g2.infinite_face]) == 8
     others = [f for f in range(len(g2.faces)) if f != g2.infinite_face]
     assert all(len(g2.faces[f]) == 3 for f in others)
@@ -248,9 +246,10 @@ def test_bounding_cycle_on_triangle(tri):
     assert all(g2.edge_weight(e) == W.zero() for e in ring)
     assert all(len(f) == 3 for f in g2.faces)
     assert len(g2.faces[g2.infinite_face]) == 3
-    sky = set(g2.meta["sky_vertices"])
+    sky = set(range(tri.n, g2.n))
     assert {g2.head[d] for d in g2.faces[g2.infinite_face]} == sky
-    spokes = trace.added_edges[TAG_TRIANGULATION]
+    spokes = [e for e in range(tri.m, g2.m) if e not in ring]
+    assert len(spokes) == 3 + 3
     assert all(not g2.edge_weight(e).is_finite for e in spokes)
     assert finite_base_total(g2) == finite_base_total(tri)
 
@@ -276,6 +275,13 @@ def test_bounding_cycle_needs_room():
 
 # -- degree_three_transform ----------------------------------------------------
 
+def copies_of(g, g2, trace, v):
+    """Vertices of g2 that carry darts of g leaving v."""
+    return {g2.head[d ^ 1] for d in range(2 * g2.m)
+            if trace.dart_origin[d] != -1
+            and g.head[trace.dart_origin[d] ^ 1] == v}
+
+
 def test_degree_three_on_grid(grid3):
     g2, trace = degree_three_transform(grid3)
     assert euler_ok(g2)
@@ -283,9 +289,10 @@ def test_degree_three_on_grid(grid3):
     # only the centre vertex (degree 4) expands, into two copies
     assert g2.n == grid3.n + 1
     assert len(g2.faces) == len(grid3.faces)
-    assert trace.vertex_tree_map == {4: [4, 9]}
-    eps = trace.added_edges[TAG_EPSILON]
+    assert copies_of(grid3, g2, trace, 4) == {4, 9}
+    eps = range(grid3.m, g2.m)
     assert len(eps) == 1
+    assert set(g2.endpoints(eps[0])) == {4, 9}
     assert g2.edge_weight(eps[0]) == W.epsilon()
     assert finite_base_total(g2) == finite_base_total(grid3)
 
@@ -303,7 +310,7 @@ def test_degree_three_on_star():
     assert max(len(r) for r in g2.out) <= 3
     assert g2.n == g.n + 5
     assert len(g2.faces) == len(g.faces)
-    assert len(trace.vertex_tree_map[0]) == 6
+    assert len(copies_of(g, g2, trace, 0)) == 6
     # faces gain at most one epsilon edge per corner at an expanded vertex
     for orbit in g2.faces:
         eps_darts = sum(1 for d in orbit if trace.dart_origin[d] == -1)

@@ -4,10 +4,12 @@ from planarcut.baseline import dinic_min_cut
 from planarcut.ddg import build_ddgs
 from planarcut.generators import (grid_graph, random_delaunay_graph,
                                   theta_graph)
-from planarcut.planar_core import dual
-from planarcut.region_tree import RegionTree
-from planarcut.sep_cycle import (PieceContext, min_separating_cycle_fast,
+from planarcut.planar_core import build_embedding, dual
+from planarcut.region_tree import CompactCycle, RegionTree
+from planarcut.sep_cycle import (PieceContext, _beats, _canonical_darts,
+                                 min_separating_cycle_fast,
                                  min_separating_cycle_safe, new_stats)
+from planarcut.weights import TieBreakWeight
 from planarcut.subdivision import recursive_subdivide
 
 
@@ -163,3 +165,33 @@ def test_zero_length_cut_sides():
         cyc = min_separating_cycle_safe(g, tree, tree.root, fa, fb)
         assert separates(g, cyc.edge_ids(), fa, fb)
         assert shared & set(cyc.vertices(g))
+
+
+def test_candidate_ladder_past_weight_and_length():
+    """Among cycles of equal weight and length, the one holding the
+    smallest uncommon vertex wins, then the one holding the smallest
+    uncommon edge; a cycle never beats itself."""
+    g = grid_graph(3, 3)
+    squares = []
+    for f in range(len(g.faces)):
+        if f != g.infinite_face:
+            darts = g.faces[f]
+            squares.append(CompactCycle(g, _canonical_darts(darts)))
+    first = [c for c in squares if 0 in c.vertices(g)]
+    assert len(first) == 1 and len(squares) == 4
+    for c in squares:
+        assert not _beats(g, c, c)
+        if c is not first[0]:
+            assert _beats(g, first[0], c)
+            assert not _beats(g, c, first[0])
+
+    # three parallel edges of one weight: two-cycles on the same vertices
+    one = TieBreakWeight.of(1)
+    bundle = build_embedding(2, [(0, 1)] * 3, [one] * 3,
+                             [[0, 1, 2], [2, 1, 0]])
+    pair = {}
+    for f, darts in enumerate(bundle.faces):
+        pair[frozenset(d >> 1 for d in darts)] = CompactCycle(
+            bundle, _canonical_darts(darts))
+    lo, hi = pair[frozenset({0, 1})], pair[frozenset({1, 2})]
+    assert _beats(bundle, lo, hi) and not _beats(bundle, hi, lo)

@@ -158,7 +158,7 @@ def test_subpiece_embedding_faithful():
         # induced rotation order matches the host
         for sv, hv in enumerate(sp.v_host):
             host_seq = [e for e in (d >> 1 for d in g.out[hv])
-                        if e in sp.e_sub]
+                        if e in set(p.edges)]
             sub_seq = [sp.e_host[d >> 1] for d in sp.sub.out[sv]]
             assert sub_seq == host_seq
 
