@@ -14,7 +14,7 @@ from collections import deque
 
 from .errors import InputError, NoPath, SameVertex, TooLarge
 from .planar_core import PlanarEmbedding, dual, is_simple_cycle
-from .weights import dart_arc, lex_dijkstra
+from .weights import dart_arc, lex_dijkstra, unpack
 
 _UNREACHED = -1
 
@@ -22,9 +22,10 @@ _UNREACHED = -1
 def _plain_weights(g: PlanarEmbedding) -> list[int]:
     ws = []
     for w in g.weights:
-        if w.inf_count or w.eps_count:
+        inf, base, zero, eps = unpack(w)
+        if inf or zero or eps:
             raise InputError("baselines handle plain finite weights only")
-        ws.append(w.base)
+        ws.append(base)
     return ws
 
 

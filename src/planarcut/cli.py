@@ -28,6 +28,7 @@ from .errors import InputError, InternalAssertion, PlanarCutError
 from .graphio import load_graph
 from .oracle import MinCutOracle, build_oracle
 from .planar_core import PlanarEmbedding
+from .weights import unpack
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -114,7 +115,7 @@ def _region_tree_dumper(g: PlanarEmbedding):
 
         def emit(region: int, indent: int) -> None:
             cyc = tree.cycles.get(region)
-            w = "-" if cyc is None else _fmt_weight(cyc.weight.base, scale)
+            w = "-" if cyc is None else _fmt_weight(unpack(cyc.weight)[1], scale)
             kids = sorted(tree.children[region])
             faces = [c for c in kids if not tree.is_region(c)]
             print(f"{'  ' * indent}region {region} weight {w} "

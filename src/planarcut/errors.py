@@ -34,6 +34,10 @@ class NegativeWeight(InputError):
     """Edge weights must be non-negative."""
 
 
+class WeightTooLarge(InputError):
+    """The total scaled edge weight must stay below 2^255."""
+
+
 class UnknownEdge(InputError):
     """Edge id out of range or absent from the rotation system."""
 

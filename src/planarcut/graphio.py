@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import InputError, NonPlanarEmbedding
 from .planar_core import PlanarEmbedding, build_embedding
-from .weights import TieBreakWeight
+from .weights import TieBreakWeight, unpack
 
 
 def parse_graph(text: str) -> PlanarEmbedding:
@@ -111,10 +111,10 @@ def write_graph(g: PlanarEmbedding) -> str:
     out = [f"{g.n} {g.m}"]
     for e in range(g.m):
         u, v = g.endpoints(e)
-        w = g.weights[e]
-        if w.inf_count or w.eps_count:
+        inf, base, zero, eps = unpack(g.weights[e])
+        if inf or zero or eps:
             raise InputError("text format stores plain weights only")
-        frac = Fraction(w.base, g.scale)
+        frac = Fraction(base, g.scale)
         if frac.denominator == 1:
             out.append(f"{u} {v} {frac.numerator}")
         else:

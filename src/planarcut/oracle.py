@@ -32,6 +32,7 @@ from .sep_cycle import (FallbackNeeded, PieceContext,
                         min_separating_cycle_fast, min_separating_cycle_safe,
                         new_stats)
 from .subdivision import recursive_subdivide
+from .weights import ZERO_EDGE, unpack
 
 MAGIC = b"PCO1"
 
@@ -94,6 +95,13 @@ class HostChain:
             back.append(d >> 1 if d != -1 else -1)
         self.input_edge_of_h1_dart = back
         self.h1_dart_of_host = list(t4.dart_origin)
+
+        # every host edge of a zero-weight input edge weighs one zero-rung
+        # unit, so a zero-weight detour never undercuts an epsilon edge
+        for e4 in range(g4.m):
+            d3 = t4.dart_origin[2 * e4]
+            if d3 != -1 and back[d3] != -1 and g0.weights[back[d3]] == 0:
+                g4.weights[e4] += ZERO_EDGE
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +594,8 @@ class MinCutOracle:
     # -- serialization ----------------------------------------------------
 
     def save(self, path: str) -> None:
+        if any(rec[2] >> 63 for rec in self.gh_edges):
+            raise InputError("oracle files store cut weights below 2^63")
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<HH", 1, 0 if self.mode == "cut" else 1))
@@ -704,12 +714,11 @@ def _contract_tree(tree: RegionTree, chain: HostChain,
         gb = groups[face_child[tree.parent(region)]]
         if ga == gb:
             continue
-        w = tree.cycles[region].weight
-        if w.inf_count:
+        inf, base, _, eps = unpack(tree.cycles[region].weight)
+        if inf:
             raise InternalAssertion(
                 f"infinite weight between groups {ga} and {gb}")
-        out.append((ga, gb, w.base, w.eps_count,
-                    tables.index_of_region[region]))
+        out.append((ga, gb, base, eps, tables.index_of_region[region]))
     expect = chain.group_count - 1
     if len(out) != expect:
         raise InternalAssertion(

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from .errors import (Disconnected, InputError, InternalAssertion,
                      NegativeWeight, NonPlanarEmbedding, UnknownEdge,
-                     UnknownVertex)
-from .weights import TieBreakWeight
+                     UnknownVertex, WeightTooLarge)
+from .weights import BASE_LIMIT, BASE_SHIFT, EPS_EDGE, INF_EDGE, TieBreakWeight
 
 
 class PlanarEmbedding:
@@ -29,7 +29,7 @@ class PlanarEmbedding:
                  "dual_of", "meta")
 
     def __init__(self, n: int, head: list[int], out: list[list[int]],
-                 weights: list[TieBreakWeight], scale: int = 1,
+                 weights: list[int], scale: int = 1,
                  infinite_face: int | None = None):
         self.n = n
         self.m = len(weights)
@@ -43,9 +43,6 @@ class PlanarEmbedding:
 
         if len(head) != 2 * self.m:
             raise InputError("dart table size must be twice the edge count")
-        for w in weights:
-            if w.inf_count < 0 or w.base < 0 or w.eps_count < 0:
-                raise NegativeWeight(f"negative weight component {w}")
 
         slot_of = [-1] * (2 * self.m)
         for v, rot in enumerate(out):
@@ -114,12 +111,12 @@ class PlanarEmbedding:
     def endpoints(self, e: int) -> tuple[int, int]:
         return self.head[2 * e + 1], self.head[2 * e]
 
-    def edge_weight(self, e: int) -> TieBreakWeight:
+    def edge_weight(self, e: int) -> int:
         if not 0 <= e < self.m:
             raise UnknownEdge(f"edge {e}")
         return self.weights[e]
 
-    def dart_weight(self, d: int) -> TieBreakWeight:
+    def dart_weight(self, d: int) -> int:
         return self.weights[d >> 1]
 
     def degree(self, v: int) -> int:
@@ -174,11 +171,17 @@ def build_embedding(n: int, edges: list[tuple[int, int]],
     """Construct an embedding from per-vertex clockwise edge-id rotations.
 
     A self-loop's edge id appears twice in its vertex's rotation; the first
-    occurrence stands for dart 2e and the second for dart 2e+1.
+    occurrence stands for dart 2e and the second for dart 2e+1.  Weights
+    are `TieBreakWeight.of` keys; their total must stay below BASE_LIMIT
+    (see `weights`).
     """
     m = len(edges)
     if len(weights) != m:
         raise InputError("weights and edges disagree in length")
+    if weights and min(weights) < 0:
+        raise NegativeWeight("edge weights must be non-negative")
+    if sum(weights) >> BASE_SHIFT >= BASE_LIMIT:
+        raise WeightTooLarge("total scaled edge weight reaches 2^255")
     head = [0] * (2 * m)
     for e, (u, v) in enumerate(edges):
         if not (0 <= u < n and 0 <= v < n):
@@ -397,7 +400,7 @@ class _Mutable:
         if self.anchor[v] == d:
             self.anchor[v] = nx
 
-    def add_edge(self, u: int, v: int, weight: TieBreakWeight,
+    def add_edge(self, u: int, v: int, weight: int,
                  after_u: int | None, after_v: int | None) -> int:
         """New edge u-v; its out-dart at u goes clockwise-after after_u."""
         e = len(self.weights)
@@ -506,7 +509,7 @@ def _subdivide_edge(mut: _Mutable, e: int) -> int:
     v = mut.head[d_forward]
     x = mut.new_vertex()
     e2 = len(mut.weights)
-    mut.weights.append(TieBreakWeight.zero())
+    mut.weights.append(0)
     nd = mut._grow_darts()        # nd: x -> v, nd+1: v -> x
     mut.head[nd] = v
     mut.head[nd + 1] = x
@@ -543,7 +546,6 @@ def triangulate(g: PlanarEmbedding,
     positions with coincident endpoints (faces that visit a vertex twice) are
     skipped, which always leaves a valid ear on simple-face walks."""
     mut = _Mutable(g)
-    inf_w = TieBreakWeight.infinite()
     chosen = g.faces if faces is None else [g.faces[f] for f in faces]
     for orbit in chosen:
         walk = list(orbit)
@@ -564,7 +566,7 @@ def triangulate(g: PlanarEmbedding,
             hv = mut.head[y]
             # chord tv->hv: out-dart at tv goes just before x (cw), the back
             # dart at hv just after rev(y), closing triangle [x, y, back]
-            e = mut.add_edge(tv, hv, inf_w,
+            e = mut.add_edge(tv, hv, INF_EDGE,
                              after_u=mut.rot_prev[x], after_v=y ^ 1)
             c_fwd = 2 * e
             walk[pos:pos + 2] = [c_fwd]
@@ -578,7 +580,6 @@ def degree_three_transform(g: PlanarEmbedding) -> tuple[PlanarEmbedding, Transfo
     by epsilon-weight edges (a tree of the dual triangulation).  Result has
     maximum degree three; vertices of degree three or less are untouched."""
     mut = _Mutable(g)
-    eps = TieBreakWeight.epsilon()
     for v in range(g.n):
         rot = g.out[v]
         k = len(rot)
@@ -595,7 +596,7 @@ def degree_three_transform(g: PlanarEmbedding) -> tuple[PlanarEmbedding, Transfo
         attach_after = rot[1]
         for i in range(1, k - 2):
             c = copies[i]
-            e = mut.add_edge(prev, c, eps,
+            e = mut.add_edge(prev, c, EPS_EDGE,
                              after_u=attach_after, after_v=None)
             after = 2 * e + 1
             darts = [rot[i + 1]] if i < k - 3 else [rot[k - 2], rot[k - 1]]
@@ -622,13 +623,10 @@ def add_bounding_cycle(g: PlanarEmbedding) -> tuple[PlanarEmbedding, TransformTr
         raise InputError("bounding cycle needs an infinite face of size >= 3")
 
     s = [mut.new_vertex(), mut.new_vertex(), mut.new_vertex()]
-    zero = TieBreakWeight.zero()
-    inf_w = TieBreakWeight.infinite()
-
     # zero triangle s0-s1-s2; rotations fixed up after spokes are in
     ring = []
     for j in range(3):
-        ring.append(mut.add_edge(s[j], s[(j + 1) % 3], zero,
+        ring.append(mut.add_edge(s[j], s[(j + 1) % 3], 0,
                                  after_u=None, after_v=None))
 
     target = [3 * i // k for i in range(k)]
@@ -639,18 +637,18 @@ def add_bounding_cycle(g: PlanarEmbedding) -> tuple[PlanarEmbedding, TransformTr
         a_i = walk[i]
         w_i = g.head[a_i]
         t = target[i]
-        e = mut.add_edge(w_i, s[t], inf_w, after_u=a_i ^ 1, after_v=None)
+        e = mut.add_edge(w_i, s[t], INF_EDGE, after_u=a_i ^ 1, after_v=None)
         spokes_at_sky[t].append(2 * e + 1)
         t_prev = target[i - 1]
         if t_prev != t and i > 0:
             # arc boundary: a second spoke back to the previous sky vertex,
             # placed between rev(a_i) and the first spoke
-            e2 = mut.add_edge(w_i, s[t_prev], inf_w,
+            e2 = mut.add_edge(w_i, s[t_prev], INF_EDGE,
                               after_u=a_i ^ 1, after_v=None)
             spokes_at_sky[t_prev].append(2 * e2 + 1)
     # the wraparound boundary at position 0 belongs at the tail of the last
     # arc's spoke list so each sky rotation stays in cyclic walk order
-    e2 = mut.add_edge(g.head[walk[0]], s[target[-1]], inf_w,
+    e2 = mut.add_edge(g.head[walk[0]], s[target[-1]], INF_EDGE,
                       after_u=walk[0] ^ 1, after_v=None)
     spokes_at_sky[target[-1]].append(2 * e2 + 1)
     # order each sky vertex's rotation: [edge to next sky, spokes in reverse

@@ -34,7 +34,6 @@ from .dynamic_tree import DynamicTree
 from .errors import (DOutOfRange, InductionViolated, InternalAssertion,
                      NotSeparating, UnknownEdge)
 from .planar_core import PlanarEmbedding
-from .weights import TieBreakWeight
 
 class CompactCycle:
     """A simple cycle of the embedding as its dart tuple, with its weight
@@ -46,13 +45,13 @@ class CompactCycle:
         darts = tuple(darts)
         if not darts:
             raise InternalAssertion("empty cycle")
-        w = TieBreakWeight.zero()
+        w = 0
         prev = g.head[darts[-1]]
         for d in darts:
             if g.head[d ^ 1] != prev:
                 raise InternalAssertion("cycle darts do not chain")
             prev = g.head[d]
-            w = w + g.weights[d >> 1]
+            w += g.weights[d >> 1]
         self._darts = darts
         self.weight = w
         self.nedges = len(darts)

@@ -1,9 +1,16 @@
-"""Exact tie-breaking weight algebra and lexicographic shortest paths.
+"""Exact tie-breaking weight keys and lexicographic shortest paths.
 
-Edge weights carry three integer components: a count of infinite-weight
-structural edges, an exact scaled base weight, and a count of epsilon-weight
-expansion edges.  Ordering is lexicographic on the triple, so no floating
-sentinel values are needed anywhere.
+An edge weight is one Python int, a key packing four rungs.  From low to
+high bits: `eps` (64 bits), the count of epsilon-weight expansion edges;
+`zero` (64 bits), the count of host edges standing for zero-weight input
+edges, so that one outweighs any pile of epsilons; `base` (256 bits), the
+exact base weight, a rational scaled to an integer at parse time; `inf`
+(unbounded), the count of infinite-weight structural edges.  Int order is
+lexicographic order on (inf, base, zero, eps), and a sum of keys is the
+componentwise sum while no rung overflows.  No count reaches 2^63, and
+inputs whose total base reaches BASE_LIMIT = 2^255 are refused, so every
+sum a search forms (it uses an edge at most twice) stays in range.  Keys
+add and compare as plain ints; `unpack` decodes them at the API edge.
 
 Path comparison refines weight order in two further steps so that shortest
 paths are unique: first by real edge count, then by the smallest vertex index
@@ -22,53 +29,45 @@ their split copies in a cut-open graph).
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 INDEX_INF = float("inf")
 
+COUNT_BITS = 64
+BASE_BITS = 256
+ZERO_SHIFT = COUNT_BITS
+BASE_SHIFT = 2 * COUNT_BITS
+INF_SHIFT = BASE_SHIFT + BASE_BITS
+BASE_LIMIT = 1 << (BASE_BITS - 1)
+_COUNT_MASK = (1 << COUNT_BITS) - 1
+_BASE_MASK = (1 << BASE_BITS) - 1
 
-class TieBreakWeight(NamedTuple):
-    """Lexicographically ordered (inf_count, base, eps_count) triple.
+EPS_EDGE = 1
+ZERO_EDGE = 1 << ZERO_SHIFT
+INF_EDGE = 1 << INF_SHIFT
 
-    `base` is an exact rational scaled to an integer at parse time.  Tuple
-    comparison gives exactly the intended order; addition is componentwise.
+
+def unpack(key: int) -> tuple[int, int, int, int]:
+    """The (inf, base, zero, eps) rungs of a weight key, high to low."""
+    return (key >> INF_SHIFT, (key >> BASE_SHIFT) & _BASE_MASK,
+            (key >> ZERO_SHIFT) & _COUNT_MASK, key & _COUNT_MASK)
+
+
+class TieBreakWeight(int):
+    """An input edge weight: a key holding only the base rung.
+
+    Sums of keys are plain ints; this subclass only names the layout.
     """
 
-    inf_count: int
-    base: int
-    eps_count: int
-
-    def __add__(self, other: "TieBreakWeight") -> "TieBreakWeight":  # type: ignore[override]
-        return TieBreakWeight(
-            self.inf_count + other.inf_count,
-            self.base + other.base,
-            self.eps_count + other.eps_count,
-        )
-
-    @property
-    def is_finite(self) -> bool:
-        return self.inf_count == 0
-
-    @classmethod
-    def zero(cls) -> "TieBreakWeight":
-        return _ZERO
+    __slots__ = ()
 
     @classmethod
     def of(cls, base: int) -> "TieBreakWeight":
-        return cls(0, base, 0)
+        return cls(base << BASE_SHIFT)
 
-    @classmethod
-    def infinite(cls) -> "TieBreakWeight":
-        return _INF_EDGE
-
-    @classmethod
-    def epsilon(cls) -> "TieBreakWeight":
-        return _EPS_EDGE
-
-
-_ZERO = TieBreakWeight(0, 0, 0)
-_INF_EDGE = TieBreakWeight(1, 0, 0)
-_EPS_EDGE = TieBreakWeight(0, 0, 1)
+    @property
+    def base(self) -> int:
+        return unpack(self)[1]
 
 
 class Arc:
@@ -88,7 +87,7 @@ class Arc:
                  "first_dart", "last_dart", "parts", "direct", "_darts",
                  "_interior")
 
-    def __init__(self, src, dst, weight: TieBreakWeight, nedges: int,
+    def __init__(self, src, dst, weight: int, nedges: int,
                  interior_min, first_dart: int, last_dart: int, parts,
                  direct: bool = True):
         self.src = src
@@ -128,7 +127,7 @@ class Arc:
         return self._interior
 
     def __repr__(self) -> str:  # debug aid only
-        return f"Arc({self.src}->{self.dst}, w={tuple(self.weight)}, n={self.nedges})"
+        return f"Arc({self.src}->{self.dst}, w={unpack(self.weight)}, n={self.nedges})"
 
 
 def dart_arc(g, d: int) -> Arc:
@@ -144,7 +143,7 @@ class PathChain:
     __slots__ = ("node", "parent", "arc", "weight", "nedges")
 
     def __init__(self, node, parent: "PathChain | None", arc: Arc | None,
-                 weight: TieBreakWeight, nedges: int):
+                 weight: int, nedges: int):
         self.node = node
         self.parent = parent
         self.arc = arc
@@ -153,7 +152,7 @@ class PathChain:
 
     @classmethod
     def source(cls, node) -> "PathChain":
-        return cls(node, None, None, _ZERO, 0)
+        return cls(node, None, None, 0, 0)
 
     def nodes(self) -> list:
         out = []

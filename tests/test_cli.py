@@ -68,6 +68,22 @@ def test_verify_jobs(capsys):
     assert "0 mismatches" in capsys.readouterr().out
 
 
+def test_total_weight_bound_exit_code(tmp_path, capsys):
+    # two parallel edges: one cut and one cycle, each of the total weight
+    p = tmp_path / "heavy.g"
+    limit = 2 ** 255
+    p.write_text(f"2 2\n0 1 {limit - 2}\n0 1 1\n0 1\n1 0\n")
+    assert main(["ghtree", str(p)]) == 0
+    assert capsys.readouterr().out.split() == ["0", "1", str(limit - 1)]
+    assert main(["mcb", str(p)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"total {limit - 1}"
+    # the oracle file holds 64-bit weights
+    assert main(["build", str(p), "-o", str(tmp_path / "heavy.pco")]) == 2
+    p.write_text(f"2 2\n0 1 {limit - 1}\n0 1 1\n0 1\n1 0\n")
+    assert main(["ghtree", str(p)]) == 2
+    assert "2^255" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["build", "no/such/file.g", "-o", "x.pco"]) == 2
     assert main(["query", "no/such/oracle.pco", "0", "1"]) == 2

@@ -7,7 +7,6 @@ from planarcut.ddg import build_ddgs, table_adjacency
 from planarcut.generators import (grid_graph, random_delaunay_graph,
                                   random_grid_subgraph)
 from planarcut.subdivision import recursive_subdivide
-from planarcut.weights import TieBreakWeight
 
 
 def check_entry_walk(g, entry):
@@ -15,7 +14,7 @@ def check_entry_walk(g, entry):
     assert len(darts) == entry.nedges
     assert g.tail(darts[0]) == entry.src
     assert g.head[darts[-1]] == entry.dst
-    total = TieBreakWeight.zero()
+    total = 0
     interior = set()
     prev_head = None
     for d in darts:

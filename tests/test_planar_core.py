@@ -3,7 +3,7 @@ import random
 import pytest
 
 from planarcut.errors import (Disconnected, InputError, NegativeWeight,
-                              NonPlanarEmbedding)
+                              NonPlanarEmbedding, WeightTooLarge)
 from planarcut.generators import (embedding_from_coordinates, grid_graph,
                                   random_delaunay_graph, random_grid_subgraph,
                                   theta_graph, triangle_graph)
@@ -11,7 +11,9 @@ from planarcut.planar_core import (PlanarEmbedding, add_bounding_cycle,
                                    build_embedding, cut_cycle_duality_check,
                                    degree_three_transform, dual,
                                    subdivide_to_simple, triangulate)
-from planarcut.weights import TieBreakWeight
+from planarcut.oracle import build_oracle
+from planarcut.weights import (BASE_LIMIT, EPS_EDGE, INF_EDGE, TieBreakWeight,
+                               unpack)
 
 W = TieBreakWeight
 
@@ -34,7 +36,7 @@ def is_simple(g):
 
 
 def finite_base_total(g):
-    return sum(w.base for w in g.weights if w.inf_count == 0)
+    return sum(base for inf, base, _, _ in map(unpack, g.weights) if inf == 0)
 
 
 # -- construction and validation ----------------------------------------------
@@ -88,7 +90,21 @@ def test_disconnected_rejected():
 
 def test_negative_weight_rejected():
     with pytest.raises(NegativeWeight):
-        build_embedding(2, [(0, 1)], [W(0, -1, 0)], [[0], [0]])
+        build_embedding(2, [(0, 1)], [W.of(-1)], [[0], [0]])
+
+
+def test_total_weight_bound():
+    below = build_embedding(2, [(0, 1), (0, 1)],
+                            [W.of(BASE_LIMIT - 2), W.of(1)], [[0, 1], [1, 0]])
+    # a cut or cycle of the whole total fits its rung
+    assert build_oracle(below).query_weight(0, 1) == BASE_LIMIT - 1
+    assert build_oracle(below, mode="mcb").mcb()[0][1] == BASE_LIMIT - 1
+    with pytest.raises(WeightTooLarge):
+        build_embedding(2, [(0, 1), (0, 1)], [W.of(BASE_LIMIT - 1), W.of(1)],
+                        [[0, 1], [1, 0]])
+    # a single base too wide for its rung is refused as well
+    with pytest.raises(WeightTooLarge):
+        build_embedding(2, [(0, 1)], [W.of(2 * BASE_LIMIT)], [[0], [0]])
 
 
 def test_self_loop_and_parallel_edges_build():
@@ -178,7 +194,7 @@ def test_subdivide_parallel_bundle(tri):
     assert finite_base_total(g2) == finite_base_total(dg)
     added = range(dg.m, g2.m)
     assert len(added) == 2
-    assert all(g2.edge_weight(e) == W.zero() for e in added)
+    assert all(g2.edge_weight(e) == 0 for e in added)
 
 
 def test_subdivide_self_loop():
@@ -211,7 +227,7 @@ def test_triangulate_grid(grid3):
     added = range(grid3.m, g2.m)
     # each size-k face takes k-3 chords: four quads and the outer octagon
     assert len(added) == 4 * 1 + 5
-    assert all(not g2.edge_weight(e).is_finite for e in added)
+    assert all(g2.edge_weight(e) == INF_EDGE for e in added)
     assert finite_base_total(g2) == finite_base_total(grid3)
 
 
@@ -243,14 +259,14 @@ def test_bounding_cycle_on_triangle(tri):
     assert g2.n == tri.n + 3
     ring = g2.meta["bounding_cycle_edges"]
     assert len(ring) == 3
-    assert all(g2.edge_weight(e) == W.zero() for e in ring)
+    assert all(g2.edge_weight(e) == 0 for e in ring)
     assert all(len(f) == 3 for f in g2.faces)
     assert len(g2.faces[g2.infinite_face]) == 3
     sky = set(range(tri.n, g2.n))
     assert {g2.head[d] for d in g2.faces[g2.infinite_face]} == sky
     spokes = [e for e in range(tri.m, g2.m) if e not in ring]
     assert len(spokes) == 3 + 3
-    assert all(not g2.edge_weight(e).is_finite for e in spokes)
+    assert all(g2.edge_weight(e) == INF_EDGE for e in spokes)
     assert finite_base_total(g2) == finite_base_total(tri)
 
 
@@ -293,7 +309,7 @@ def test_degree_three_on_grid(grid3):
     eps = range(grid3.m, g2.m)
     assert len(eps) == 1
     assert set(g2.endpoints(eps[0])) == {4, 9}
-    assert g2.edge_weight(eps[0]) == W.epsilon()
+    assert g2.edge_weight(eps[0]) == EPS_EDGE
     assert finite_base_total(g2) == finite_base_total(grid3)
 
 

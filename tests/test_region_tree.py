@@ -10,7 +10,6 @@ from planarcut.generators import (embedding_from_coordinates, grid_graph,
                                   random_delaunay_graph)
 from planarcut.region_tree import (CompactCycle, RegionTree, region_subpiece,
                                    regions_with_unseparated_pair)
-from planarcut.weights import TieBreakWeight
 
 
 def face_edges(g, fid):
@@ -219,7 +218,7 @@ def test_compact_cycle_checks_its_darts():
     cyc = CompactCycle(g, darts)
     assert cyc.darts() == tuple(darts)
     assert cyc.nedges == len(cyc) == len(darts)
-    total = TieBreakWeight.zero()
+    total = 0
     for d in darts:
         total = total + g.weights[d >> 1]
     assert cyc.weight == total

@@ -9,7 +9,7 @@ from planarcut.region_tree import CompactCycle, RegionTree
 from planarcut.sep_cycle import (PieceContext, _beats, _canonical_darts,
                                  min_separating_cycle_fast,
                                  min_separating_cycle_safe, new_stats)
-from planarcut.weights import TieBreakWeight
+from planarcut.weights import TieBreakWeight, unpack
 from planarcut.subdivision import recursive_subdivide
 
 
@@ -61,8 +61,9 @@ def test_safe_engine_matches_dual_min_cut(make):
         cyc = min_separating_cycle_safe(g, tree, tree.root, fa, fb)
         check_cycle_shape(g, cyc)
         assert separates(g, cyc.edge_ids(), fa, fb)
-        assert cyc.weight.inf_count == 0
-        assert dinic_min_cut(dg, fa, fb)[0] == cyc.weight.base
+        inf, base, _, _ = unpack(cyc.weight)
+        assert inf == 0
+        assert dinic_min_cut(dg, fa, fb)[0] == base
 
 
 def test_adjacent_faces_cross_at_shared_vertex():

@@ -1,28 +1,71 @@
+from hypothesis import given, strategies as st
+
 from planarcut.generators import triangle_graph
-from planarcut.weights import (INDEX_INF, Arc, PathChain, TieBreakWeight,
-                               compare_chains, dart_arc, lex_dijkstra)
+from planarcut.oracle import build_oracle
+from planarcut.weights import (BASE_BITS, BASE_SHIFT, COUNT_BITS, EPS_EDGE,
+                               INDEX_INF, INF_EDGE, INF_SHIFT, ZERO_EDGE,
+                               ZERO_SHIFT, Arc, PathChain, TieBreakWeight,
+                               compare_chains, dart_arc, lex_dijkstra, unpack)
 
 W = TieBreakWeight
 
 
+def pack(inf, base, zero, eps):
+    return (inf << INF_SHIFT) | (base << BASE_SHIFT) | (zero << ZERO_SHIFT) | eps
+
+
+def rungs(inf=2 ** 20, base=2 ** BASE_BITS, count=2 ** COUNT_BITS):
+    """(inf, base, zero, eps) tuples with every rung below its bound."""
+    return st.tuples(st.integers(0, inf - 1), st.integers(0, base - 1),
+                     st.integers(0, count - 1), st.integers(0, count - 1))
+
+
 def test_weight_order_is_lexicographic():
     assert W.of(3) < W.of(4)
-    assert W.zero() < W.epsilon() < W.of(1)
-    assert W.of(10**12) < W.infinite()
-    # a single base unit dominates any pile of epsilons
-    assert W(0, 1, 0) > W(0, 0, 10**9)
+    assert 0 < EPS_EDGE < ZERO_EDGE < W.of(1)
+    assert W.of(10**12) < INF_EDGE
+    # a zero-weight input edge dominates any pile of epsilons, and a single
+    # base unit dominates any pile of either
+    assert pack(0, 0, 1, 0) > pack(0, 0, 0, 10**9)
+    assert pack(0, 1, 0, 0) > pack(0, 0, 10**9, 10**9)
     # one infinite edge dominates any finite base
-    assert W(1, 0, 0) > W(0, 10**18, 5)
+    assert pack(1, 0, 0, 0) > pack(0, 10**18, 5, 5)
 
 
 def test_weight_addition_and_scaling():
-    a = W(1, 5, 2)
-    b = W(0, 7, 1)
-    assert a + b == W(1, 12, 3)
-    assert sum((a, a, a), W.zero()) == W(3, 15, 6)
-    assert W.zero() + W.of(4) == W.of(4)
-    assert not W.infinite().is_finite
-    assert W.of(9).is_finite
+    a = pack(1, 5, 4, 2)
+    b = pack(0, 7, 0, 1)
+    assert unpack(a + b) == (1, 12, 4, 3)
+    assert unpack(sum((a, a, a))) == (3, 15, 12, 6)
+    assert 0 + W.of(4) == W.of(4)
+    assert unpack(INF_EDGE) == (1, 0, 0, 0)
+    assert unpack(ZERO_EDGE) == (0, 0, 1, 0)
+    assert unpack(EPS_EDGE) == (0, 0, 0, 1)
+    assert unpack(W.of(9)) == (0, 9, 0, 0)
+
+
+@given(rungs(), rungs())
+def test_key_order_is_rung_tuple_order(a, b):
+    ka, kb = pack(*a), pack(*b)
+    assert unpack(ka) == a
+    assert (ka < kb) == (a < b)
+    assert (ka == kb) == (a == b)
+
+
+@given(st.lists(rungs(base=2 ** (BASE_BITS - 2), count=2 ** (COUNT_BITS - 2)),
+                max_size=4))
+def test_key_sum_is_componentwise(parts):
+    # at most four parts, each a quarter of every width: no rung overflows
+    want = tuple(sum(p[i] for p in parts) for i in range(4))
+    assert unpack(sum(pack(*p) for p in parts)) == want
+
+
+@given(st.integers(0, 2 ** BASE_BITS - 1))
+def test_input_weight_keeps_its_base(b):
+    w = W.of(b)
+    assert isinstance(w, int) and w.base == b
+    assert unpack(w) == (0, b, 0, 0)
+    assert type(w + W.of(1)) is int
 
 
 def _dart(src, dst, dart, w):
@@ -51,6 +94,18 @@ def test_dart_arc_reads_the_embedding():
         assert arc.nedges == 1
         assert arc.darts() == [d]
         assert arc.interior_vertices() == set()
+
+
+def test_search_and_cycle_weights_are_plain_ints():
+    g = triangle_graph(1, 2, 3)
+    settled = lex_dijkstra(
+        lambda v: [(g.head[d], dart_arc(g, d)) for d in g.out[v]], [0])
+    assert len(settled) == g.n
+    assert all(type(c.weight) is int for c in settled.values())
+    trees = []
+    build_oracle(g, mode="mcb", observer=lambda b: trees.append(b.tree))
+    cycles = [c for c in trees[0].cycles.values() if c is not None]
+    assert cycles and all(type(c.weight) is int for c in cycles)
 
 
 def test_chain_accumulates_weight_and_edges():
