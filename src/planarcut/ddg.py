@@ -8,10 +8,11 @@ children's tables; external tables run top-down over the parent's external
 table plus the sibling internal tables.
 
 A table entry is an `Arc` (see `weights`): a real dart at the leaves, above
-them the concatenation of the entries its search chain took.  It remembers
-its weight, real edge count, end darts and smallest interior vertex, and it
-can expand to the exact host dart sequence on demand (memoized); expansion
-is also what the path comparison falls back to on deep ties, so composed
+them the tuple of the entries its search chain took.  It remembers its
+weight, real edge count, end darts and smallest interior vertex, and it can
+expand to the exact host dart sequence on demand (the one memo it keeps) or
+walk its parts to its interior vertices (kept nowhere); expansion is also
+what the path comparison falls back to on deep ties, so composed
 tables reproduce the very same canonical paths that a direct search on the
 underlying subgraph finds.  The entries themselves are the search arcs.
 
@@ -47,7 +48,7 @@ def entry_from_chain(chain: PathChain, boundary) -> Arc:
     A one-arc chain is the arc's own entry.  A longer chain gets a new entry
     that is direct when none of its intermediate nodes is in `boundary`.
     """
-    parts = chain.arcs()
+    parts = tuple(chain.arcs())
     if len(parts) == 1:
         return parts[0]
     interior_min = parts[-1].interior_min

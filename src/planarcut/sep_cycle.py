@@ -354,14 +354,31 @@ class PieceContext:
                 self.edge_sibling.setdefault(e, i)
 
 
-def _arc_touches_cut(entry, xcut: XCut) -> bool:
+def _arc_touches_cut(entry, xcut: XCut, exact: bool) -> bool:
     """True when the arc's hidden path shares an edge end or an interior
-    vertex with the cut path, so side bookkeeping inside it matters."""
+    vertex with the cut path, so side bookkeeping inside it matters.
+
+    Without `exact` the caller vouches that no part of the arc hides a cut
+    path vertex (see `min_separating_cycle_fast`): a direct arc then meets
+    X at its end darts only, and a composite one also at the intermediate
+    nodes of its chain.  With `exact` the parts are walked down to darts.
+    """
     if (entry.first_dart >> 1) in xcut.edges:
         return True
     if (entry.last_dart >> 1) in xcut.edges:
         return True
-    return not xcut.vset.isdisjoint(entry.interior_vertices())
+    if entry.parts is None or (entry.direct and not exact):
+        return False
+    vset = xcut.vset
+    stack = [entry]
+    while stack:
+        parts = stack.pop().parts
+        for p in parts[:-1]:
+            if p.dst in vset:
+                return True
+        if exact:
+            stack.extend(p for p in parts if p.parts is not None)
+    return False
 
 
 def _group_path_adjacency(ctx: PieceContext, real_edges) -> dict:
@@ -394,6 +411,29 @@ def min_separating_cycle_fast(ctx: PieceContext, region: int,
     their concatenation spells the same darts.  `has_vertex` sees no
     difference either, since the entry from s has the same source node as
     the parent.
+
+    Whether an entry touches X is decided from piece facts, without vertex
+    sets.  Its end darts are checked against X's edges.  Inside, recall
+    that a vertex is in the boundary of a piece exactly when an edge
+    outside the piece touches it.  Every X vertex is touched by an X edge
+    or, when X is a single vertex, by the group edge that made it a seed.
+    - A sibling S that X does not enter.  An interior vertex of a direct
+      entry of S lies on a path of S edges and not in the boundary of S,
+      so only S edges touch it.  An X vertex is touched by an X edge or a
+      group edge, which is outside S, so it is no such vertex.  A
+      non-direct entry is a chain of direct entries of S's children, whose
+      interior vertices are likewise touched only by their own edges.  So
+      it meets X inside exactly when an intermediate node of its chain
+      lies on X.
+    - The external table of the piece P, when every X edge lies in P.  An
+      interior vertex of a direct external entry is touched only by edges
+      outside P, and an X vertex by an edge in P.  A non-direct external
+      entry chains direct entries of the parent's external table and of
+      P's siblings, whose interior vertices are touched only by edges
+      outside the parent or inside those siblings, so outside P.  The same
+      two rules hold.
+    - When X uses an external arc it has edges outside P, and the external
+      entries are walked part by part.
     """
     g = ctx.g
     if stats is None:
@@ -411,20 +451,23 @@ def min_separating_cycle_fast(ctx: PieceContext, region: int,
     if chain is None:
         raise FallbackNeeded("face boundaries not connected through tables")
 
-    xdarts = chain.darts()
-    xcut = XCut(g, xdarts, chain.nodes()[0], face_a, face_b)
+    xcut = XCut(g, chain.darts(), chain.nodes()[0], face_a, face_b)
     universe = CutUniverse(g, xcut, real)
 
     # sibling pieces entered by X contribute their real edges; their tables
     # would hide the crossings
-    touched = {ctx.edge_sibling[d >> 1] for d in xdarts
-               if (d >> 1) in ctx.edge_sibling}
+    touched = {ctx.edge_sibling[e] for e in xcut.edges
+               if e in ctx.edge_sibling}
     for i in touched:
         universe.add_real(ctx.sib_edges[i])
-    tables = [t for i, t in enumerate(ctx.sib_tables) if i not in touched]
-    for table in tables + [ctx.ext_table]:
+    leaves_piece = any(e not in ctx.group_edges and e not in ctx.edge_sibling
+                       for e in xcut.edges)
+    tables = [(t, False) for i, t in enumerate(ctx.sib_tables)
+              if i not in touched]
+    tables.append((ctx.ext_table, leaves_piece))
+    for table, exact in tables:
         for entry in table.values():
-            if _arc_touches_cut(entry, xcut):
+            if _arc_touches_cut(entry, xcut, exact):
                 universe.add_real(d >> 1 for d in entry.darts())
                 stats["expanded_arcs"] += 1
             elif entry.direct:

@@ -75,17 +75,17 @@ class Arc:
 
     A real dart has `parts` None (see `dart_arc`).  A compressed path is a
     concatenation of shorter arcs, such as a distance-table entry assembled
-    from child entries.  `interior_min` is the smallest vertex index strictly
-    between the endpoints (INDEX_INF for a dart).  `darts()` expands to the
-    host dart sequence in travel direction and `interior_vertices()` to the
-    interior vertex set; both are memoized and only needed on exact
-    weight/length ties or for output.  `direct` is the distance-table flag
+    from child entries, with `parts` the tuple of its pieces.
+    `interior_min` is the smallest vertex index strictly between the
+    endpoints (INDEX_INF for a dart).  `darts()` expands to the host dart
+    sequence in travel direction, memoized; `interior_vertices()` walks the
+    parts to the interior vertex set each time it is called, which only
+    deep ties in `compare_chains` do.  `direct` is the distance-table flag
     described in `ddg`.
     """
 
     __slots__ = ("src", "dst", "weight", "nedges", "interior_min",
-                 "first_dart", "last_dart", "parts", "direct", "_darts",
-                 "_interior")
+                 "first_dart", "last_dart", "parts", "direct", "_darts")
 
     def __init__(self, src, dst, weight: int, nedges: int,
                  interior_min, first_dart: int, last_dart: int, parts,
@@ -100,7 +100,6 @@ class Arc:
         self.parts = parts
         self.direct = direct
         self._darts = None
-        self._interior = None
 
     def darts(self) -> list[int]:
         if self._darts is None:
@@ -114,17 +113,15 @@ class Arc:
         return self._darts
 
     def interior_vertices(self) -> set:
-        if self._interior is None:
-            if self.parts is None:
-                self._interior = set()
-            else:
-                acc = set()
-                for p in self.parts[:-1]:
-                    acc.update(p.interior_vertices())
-                    acc.add(p.dst)
-                acc.update(self.parts[-1].interior_vertices())
-                self._interior = acc
-        return self._interior
+        out = set()
+        stack = [self]
+        while stack:
+            parts = stack.pop().parts
+            if parts is not None:
+                for p in parts[:-1]:
+                    out.add(p.dst)
+                stack.extend(parts)
+        return out
 
     def __repr__(self) -> str:  # debug aid only
         return f"Arc({self.src}->{self.dst}, w={unpack(self.weight)}, n={self.nedges})"

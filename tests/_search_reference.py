@@ -1,6 +1,6 @@
 """Reference searches shared by the tests: plain dart adjacencies of the
-embedding and a lexicographic search that returns table entries; plus a
-graph with parallel edges and zero weights."""
+embedding, a lexicographic search that returns table entries and a cut
+check; plus graphs with parallel edges and zero weights."""
 
 import random
 
@@ -36,20 +36,60 @@ def ddg_dijkstra(adj: dict, sources, targets=None) -> dict:
             for node, chain in res.items()}
 
 
+def removing_disconnects(g, cut, s, t) -> bool:
+    """True when deleting the edge set `cut` separates s from t."""
+    adj = [[] for _ in range(g.n)]
+    for e in range(g.m):
+        if e in cut:
+            continue
+        u, v = g.endpoints(e)
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {s}
+    stack = [s]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return t not in seen
+
+
+def _with_twins(g, doubled, copies=1):
+    """Edges, weights and rotations of `g` with `copies` parallel twins of
+    each edge in `doubled`, each twin beside its edge (same weight)."""
+    edges = [g.endpoints(e) for e in range(g.m)]
+    weights = list(g.weights)
+    rotations = [[d >> 1 for d in g.out[v]] for v in range(g.n)]
+    for e in doubled:
+        u, v = edges[e]
+        for _ in range(copies):
+            twin = len(edges)
+            edges.append((u, v))
+            weights.append(weights[e])
+            rotations[u].insert(rotations[u].index(e) + 1, twin)
+            rotations[v].insert(rotations[v].index(e), twin)
+    return edges, weights, rotations
+
+
 def parallel_zero_graph(seed=5):
     """4 x 4 grid with every third edge doubled beside itself (same weight)
     and every fourth edge of weight zero."""
     g = grid_graph(4, 4, rng=random.Random(seed))
-    edges = [g.endpoints(e) for e in range(g.m)]
-    weights = list(g.weights)
-    rotations = [[d >> 1 for d in g.out[v]] for v in range(g.n)]
-    for e in range(0, g.m, 3):
-        u, v = edges[e]
-        twin = len(edges)
-        edges.append((u, v))
-        weights.append(weights[e])
-        rotations[u].insert(rotations[u].index(e) + 1, twin)
-        rotations[v].insert(rotations[v].index(e), twin)
+    edges, weights, rotations = _with_twins(g, range(0, g.m, 3))
     weights = [TieBreakWeight.of(0) if e % 4 == 0 else w
                for e, w in enumerate(weights)]
+    return build_embedding(g.n, edges, weights, rotations)
+
+
+def tripled_zero_graph(seed=15):
+    """3 x 3 grid where a coin gives each edge three parallel twins, then
+    each edge, twins included, weighs zero with probability 0.3."""
+    g = grid_graph(3, 3, rng=random.Random(seed))
+    r = random.Random(seed * 31 + 7)
+    doubled = [e for e in range(g.m) if r.random() < 0.5]
+    edges, weights, rotations = _with_twins(g, doubled, copies=3)
+    weights = [TieBreakWeight.of(0) if r.random() < 0.3 else w
+               for w in weights]
     return build_embedding(g.n, edges, weights, rotations)

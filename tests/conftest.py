@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from planarcut.generators import grid_graph, theta_graph, triangle_graph
+
+# the same examples on every run, no wall-clock deadline on a loaded
+# machine, and no example database left behind
+settings.register_profile("tier1", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("tier1")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 import planarcut.oracle
-from _search_reference import parallel_zero_graph
+import planarcut.sep_cycle
+from _search_reference import (parallel_zero_graph, removing_disconnects,
+                               tripled_zero_graph)
 from planarcut import baseline
 from planarcut.errors import InputError, SameVertex, TooSmall, UnknownVertex
 from planarcut.generators import (grid_graph, random_delaunay_graph,
@@ -103,6 +106,46 @@ def test_engines_agree_during_build(name, mode, monkeypatch):
     assert calls[0] == orc.stats["inserts"] > 0
 
 
+def interior_set(arc) -> set:
+    """Interior vertices of a table arc, as the memoised sets once held."""
+    if arc.parts is None:
+        return set()
+    out = interior_set(arc.parts[-1])
+    for p in arc.parts[:-1]:
+        out |= interior_set(p)
+        out.add(p.dst)
+    return out
+
+
+def test_contact_rule_matches_interior_sets(monkeypatch):
+    # the fast engine decides which table arcs touch the cut path from
+    # piece facts; the interior-set rule it replaced must agree every time
+    rule = planarcut.sep_cycle._arc_touches_cut
+    branches = Counter()
+
+    def checked(entry, xcut, exact):
+        got = rule(entry, xcut, exact)
+        ends = {entry.first_dart >> 1, entry.last_dart >> 1}
+        want = (not ends.isdisjoint(xcut.edges)
+                or not xcut.vset.isdisjoint(interior_set(entry)))
+        assert got == want, (entry, exact)
+        if ends.isdisjoint(xcut.edges) and entry.parts is not None:
+            if exact:
+                branches["exact"] += 1
+                if rule(entry, xcut, False) != want:
+                    branches["exact needed"] += 1
+            else:
+                branches["direct" if entry.direct else "chain"] += 1
+        return got
+
+    monkeypatch.setattr(planarcut.sep_cycle, "_arc_touches_cut", checked)
+    for name in sorted(CROSS_CHECK_GRAPHS):
+        for mode in ("cut", "mcb"):
+            build_oracle(CROSS_CHECK_GRAPHS[name](), mode=mode)
+    assert all(branches[k] > 0 for k in
+               ("direct", "chain", "exact", "exact needed")), branches
+
+
 def test_safe_cycles_same_weights(grid3, theta):
     for g in (grid3, theta):
         fast = build_oracle(g)
@@ -112,25 +155,6 @@ def test_safe_cycles_same_weights(grid3, theta):
 
 
 # -- cut reporting ------------------------------------------------------------
-
-def removing_disconnects(g, cut, s, t):
-    adj = [[] for _ in range(g.n)]
-    for e in range(g.m):
-        if e in cut:
-            continue
-        u, v = g.endpoints(e)
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {s}
-    stack = [s]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return t not in seen
-
 
 def check_cut_reports(g, orc):
     for s, t in combinations(range(g.n), 2):
@@ -218,6 +242,17 @@ def test_mcb_parallel_zero_edges(seed):
     g = parallel_zero_graph(seed)
     check_mcb(g)
     all_pairs_match(g, build_oracle(g))
+
+
+# Seed 15 draws zero-weight detours that two epsilon units would not
+# outweigh: with the zero rung at 1 << 1 the cut build fails.
+@pytest.mark.parametrize("mode", ["cut", "mcb"])
+def test_zero_rung_outweighs_epsilon_piles(mode):
+    g = tripled_zero_graph()
+    if mode == "mcb":
+        check_mcb(g)
+    else:
+        all_pairs_match(g, build_oracle(g))
 
 
 HOST_INPUTS = {
