@@ -16,23 +16,19 @@ what the path comparison falls back to on deep ties, so composed
 tables reproduce the very same canonical paths that a direct search on the
 underlying subgraph finds.  The entries themselves are the search arcs.
 
-Only *direct* entries feed the searches.  An entry is direct when no
-boundary vertex of the piece that owns its table lies strictly inside its
-path.  This loses no path: subpaths of a canonical path are canonical, so an
-entry s -> t of table c that passes through x in the boundary of c equals
-entry (s, x) followed by entry (x, t) of the same table.  Splitting a host
-path at every boundary vertex it passes therefore gives exactly one chain of
-direct arcs, and the search still meets every host path once, now without
-comparing a path against another decomposition of itself.
+Tables hold only *direct* entries: no boundary vertex of the piece that
+owns the table lies strictly inside the entry's path.  This loses no path.
+Subpaths of a canonical path are canonical, so a canonical path of piece c
+split at every boundary vertex of c it passes is a chain of direct entries
+of c, and a search over direct entries meets every host path exactly once,
+without comparing a path against another decomposition of itself.
 
-The flag costs one pass over the search chain.  An arc is direct in its own
-table, and a boundary vertex of the piece being assembled that lies on the
-arc's path is also a boundary vertex of the arc's own piece (a child for an
-internal table; the parent's exterior or a sibling for an external one).
-So no arc hides a boundary vertex of the new piece: a new entry is direct
-exactly when no intermediate node of its chain is a boundary vertex, and a
-one-arc chain reuses its arc's entry, which is direct in the new table too.
-Tables still hold every pair, for the readers outside this module.
+An arc is direct in its own table, and a boundary vertex of the piece being
+assembled that lies on the arc's path is also a boundary vertex of the
+arc's own piece (a child for an internal table; the parent's exterior or a
+sibling for an external one).  So a search chain is direct exactly when
+none of its intermediate nodes is a boundary vertex; a one-arc chain is its
+arc's own entry.  Other chains get no entry.
 """
 
 from __future__ import annotations
@@ -42,46 +38,48 @@ from .subdivision import Subdivision
 from .weights import Arc, PathChain, dart_arc, lex_dijkstra
 
 
-def entry_from_chain(chain: PathChain, boundary) -> Arc:
-    """Table entry for a search chain of table arcs.
-
-    A one-arc chain is the arc's own entry.  A longer chain gets a new entry
-    that is direct when none of its intermediate nodes is in `boundary`.
-    """
-    parts = tuple(chain.arcs())
+def entry_from_chain(chain: PathChain, boundary) -> Arc | None:
+    """Table entry for a search chain of table arcs, or None when an
+    intermediate node of the chain is in `boundary`.  A one-arc chain is
+    the arc's own entry.  The walk from the chain's end stops at the first
+    boundary node."""
+    last = chain.arc
+    parts = [last]
+    interior_min = last.interior_min
+    c = chain.parent
+    while c.arc is not None:
+        if c.node in boundary:
+            return None
+        if c.node < interior_min:
+            interior_min = c.node
+        arc = c.arc
+        if arc.interior_min < interior_min:
+            interior_min = arc.interior_min
+        parts.append(arc)
+        c = c.parent
     if len(parts) == 1:
-        return parts[0]
-    interior_min = parts[-1].interior_min
-    direct = True
-    for p in parts[:-1]:
-        if p.interior_min < interior_min:
-            interior_min = p.interior_min
-        if p.dst < interior_min:
-            interior_min = p.dst
-        if p.dst in boundary:
-            direct = False
-    return Arc(parts[0].src, parts[-1].dst, chain.weight, chain.nedges,
-               interior_min, parts[0].first_dart, parts[-1].last_dart,
-               parts, direct)
+        return last
+    parts.reverse()
+    return Arc(parts[0].src, last.dst, chain.weight, chain.nedges,
+               interior_min, parts[0].first_dart, last.last_dart, tuple(parts))
 
 
 Table = dict  # (src, dst) -> Arc, src != dst, directed
 
 
 def table_adjacency(tables) -> dict:
-    """Search arcs over entry tables: the direct entries as a
-    node -> [(head, Arc)] map, in deterministic order."""
+    """Search arcs over entry tables as a node -> [(head, Arc)] map, in
+    deterministic order."""
     adj: dict = {}
     for table in tables:
         for (a, b), entry in table.items():
-            if entry.direct:
-                adj.setdefault(a, []).append((b, entry))
+            adj.setdefault(a, []).append((b, entry))
     return adj
 
 
 def _all_pairs(adj: dict, boundary) -> Table:
-    """Canonical paths over `adj` between every ordered pair of `boundary`
-    vertices, one search per source."""
+    """Direct canonical paths over `adj` between ordered pairs of
+    `boundary` vertices, one search per source."""
     table: Table = {}
     bset = set(boundary)
     blist = sorted(bset)
@@ -93,6 +91,8 @@ def _all_pairs(adj: dict, boundary) -> Table:
             if t == s or chain is None:
                 continue
             entry = entry_from_chain(chain, bset)
+            if entry is None:
+                continue
             if entry.src != s or entry.dst != t:
                 raise InternalAssertion("table entry endpoints drifted")
             table[(s, t)] = entry

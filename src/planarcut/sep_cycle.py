@@ -232,12 +232,17 @@ def _crossing_sweep(universe: CutUniverse, xverts,
                     stats: dict) -> CompactCycle | None:
     """One shortest-path run per crossing vertex, from its side-0 copy to
     its side-1 copy.  Returns the best simple cycle found, with canonical
-    darts."""
+    darts.
+
+    Each run is bounded by the incumbent's (weight, nedges): a run stopped
+    by the bound would reach its target at a larger key, so its cycle could
+    neither win nor tie."""
     g = universe.g
     best = None
     for x in xverts:
+        bound = None if best is None else (best.weight, best.nedges)
         res = lex_dijkstra(universe.adjacency, [(x, 0)], _node_index,
-                           targets=[(x, 1)])
+                           targets=[(x, 1)], bound=bound)
         stats["dijkstras"] += 1
         chain = res.get((x, 1))
         if chain is None or chain.nedges == 0:
@@ -358,16 +363,15 @@ def _arc_touches_cut(entry, xcut: XCut, exact: bool) -> bool:
     """True when the arc's hidden path shares an edge end or an interior
     vertex with the cut path, so side bookkeeping inside it matters.
 
-    Without `exact` the caller vouches that no part of the arc hides a cut
-    path vertex (see `min_separating_cycle_fast`): a direct arc then meets
-    X at its end darts only, and a composite one also at the intermediate
-    nodes of its chain.  With `exact` the parts are walked down to darts.
+    Without `exact` the caller vouches that no interior vertex of the arc
+    is on the cut path (see `min_separating_cycle_fast`), so only the end
+    darts are checked.  With `exact` the parts are walked down to darts.
     """
     if (entry.first_dart >> 1) in xcut.edges:
         return True
     if (entry.last_dart >> 1) in xcut.edges:
         return True
-    if entry.parts is None or (entry.direct and not exact):
+    if entry.parts is None or not exact:
         return False
     vset = xcut.vset
     stack = [entry]
@@ -376,20 +380,17 @@ def _arc_touches_cut(entry, xcut: XCut, exact: bool) -> bool:
         for p in parts[:-1]:
             if p.dst in vset:
                 return True
-        if exact:
-            stack.extend(p for p in parts if p.parts is not None)
+        stack.extend(p for p in parts if p.parts is not None)
     return False
 
 
 def _group_path_adjacency(ctx: PieceContext, real_edges) -> dict:
     """Plain-vertex adjacency for the X search: the group's real darts plus
-    compact arcs over the sibling interiors and the piece exterior (direct
-    table entries only, as in the distance table assembly)."""
+    compact arcs over the sibling interiors and the piece exterior."""
     adj = _dart_adjacency(ctx.g, real_edges)
     for table in list(ctx.sib_tables) + [ctx.ext_table]:
         for entry in table.values():
-            if entry.direct:
-                adj.setdefault(entry.src, []).append((entry.dst, entry))
+            adj.setdefault(entry.src, []).append((entry.dst, entry))
     return adj
 
 
@@ -400,38 +401,31 @@ def min_separating_cycle_fast(ctx: PieceContext, region: int,
     region's subpiece directly and everything else through table arcs.
 
     The sibling tables not entered by X, then the piece's external table,
-    feed the universe the same way.  Arcs touching X are expanded whatever
-    their kind; of the others only direct entries enter as compact arcs.
-    This is exact.  Take a non-direct entry s->t through a boundary vertex
-    x of the owning piece that does not touch X.  Canonical paths have
-    canonical subpaths, so its entries s->x and x->t are in the same table,
-    with the same end darts as the parent at s and at t.  Their interiors
-    lie inside the parent's interior, and x is not on X, so neither touches
-    X: both enter as compact arcs (recursively, down to direct ones) and
-    their concatenation spells the same darts.  `has_vertex` sees no
-    difference either, since the entry from s has the same source node as
-    the parent.
+    feed the universe the same way: entries touching X are expanded into
+    their real edges, the others enter as compact arcs.  Tables hold only
+    direct entries (see `ddg`), and this is exact.  A canonical path s->t
+    of a table's piece that passes through boundary vertices of the piece
+    is the chain of direct entries of the same table split at those
+    vertices, since canonical paths have canonical subpaths.  Each part
+    either touches X and is expanded, or enters as a compact arc on the
+    side copies its end darts pick, which are the copies the cut-open walk
+    along the whole path visits.  So the optimal cycle is still in the
+    universe, and every universe arc spells a real cut-open path.
 
     Whether an entry touches X is decided from piece facts, without vertex
     sets.  Its end darts are checked against X's edges.  Inside, recall
     that a vertex is in the boundary of a piece exactly when an edge
     outside the piece touches it.  Every X vertex is touched by an X edge
     or, when X is a single vertex, by the group edge that made it a seed.
-    - A sibling S that X does not enter.  An interior vertex of a direct
-      entry of S lies on a path of S edges and not in the boundary of S,
-      so only S edges touch it.  An X vertex is touched by an X edge or a
-      group edge, which is outside S, so it is no such vertex.  A
-      non-direct entry is a chain of direct entries of S's children, whose
-      interior vertices are likewise touched only by their own edges.  So
-      it meets X inside exactly when an intermediate node of its chain
-      lies on X.
+    - A sibling S that X does not enter.  An interior vertex of an entry of
+      S lies on a path of S edges and, the entry being direct, not in the
+      boundary of S, so only S edges touch it.  An X vertex is touched by
+      an X edge or a group edge, which is outside S, so it is no such
+      vertex.
     - The external table of the piece P, when every X edge lies in P.  An
-      interior vertex of a direct external entry is touched only by edges
-      outside P, and an X vertex by an edge in P.  A non-direct external
-      entry chains direct entries of the parent's external table and of
-      P's siblings, whose interior vertices are touched only by edges
-      outside the parent or inside those siblings, so outside P.  The same
-      two rules hold.
+      interior vertex of an external entry is touched only by edges
+      outside P, and an X vertex by an edge in P.  Again only the end
+      darts can meet X.
     - When X uses an external arc it has edges outside P, and the external
       entries are walked part by part.
     """
@@ -470,7 +464,7 @@ def min_separating_cycle_fast(ctx: PieceContext, region: int,
             if _arc_touches_cut(entry, xcut, exact):
                 universe.add_real(d >> 1 for d in entry.darts())
                 stats["expanded_arcs"] += 1
-            elif entry.direct:
+            else:
                 universe.add_arc(entry)
                 stats["compact_arcs"] += 1
 

@@ -80,16 +80,16 @@ class Arc:
     endpoints (INDEX_INF for a dart).  `darts()` expands to the host dart
     sequence in travel direction, memoized; `interior_vertices()` walks the
     parts to the interior vertex set each time it is called, which only
-    deep ties in `compare_chains` do.  `direct` is the distance-table flag
-    described in `ddg`.
+    deep ties in `compare_chains` do.  A distance-table entry is always
+    direct: no boundary vertex of its piece lies strictly inside it (see
+    `ddg`).
     """
 
     __slots__ = ("src", "dst", "weight", "nedges", "interior_min",
-                 "first_dart", "last_dart", "parts", "direct", "_darts")
+                 "first_dart", "last_dart", "parts", "_darts")
 
     def __init__(self, src, dst, weight: int, nedges: int,
-                 interior_min, first_dart: int, last_dart: int, parts,
-                 direct: bool = True):
+                 interior_min, first_dart: int, last_dart: int, parts):
         self.src = src
         self.dst = dst
         self.weight = weight
@@ -98,7 +98,6 @@ class Arc:
         self.first_dart = first_dart
         self.last_dart = last_dart
         self.parts = parts
-        self.direct = direct
         self._darts = None
 
     def darts(self) -> list[int]:
@@ -269,7 +268,8 @@ def compare_chains(a: PathChain, b: PathChain, index_of: Callable) -> int:
 def lex_dijkstra(adj: Callable[[object], Iterable[tuple[object, Arc]]],
                  sources: Sequence,
                  index_of: Callable = lambda v: v,
-                 targets: Iterable | None = None) -> dict:
+                 targets: Iterable | None = None,
+                 bound: tuple[int, int] | None = None) -> dict:
     """Unique lexicographic shortest-path forest from `sources`.
 
     `adj(node)` yields (head node, Arc) pairs; the head is the search node
@@ -278,7 +278,10 @@ def lex_dijkstra(adj: Callable[[object], Iterable[tuple[object, Arc]]],
     or prebuilt PathChain seeds.  Returns {node: PathChain} for every
     settled node.  With `targets` the search stops once all targets are
     settled; the other nodes it returns then depend on heap order, so
-    callers read only the targets.  Deterministic given the adjacency order.
+    callers read only the targets.  With `bound` = (weight, nedges) the
+    search stops once the smallest key on the heap is strictly above it, so
+    it settles exactly the nodes of the unbounded search whose key is at
+    most `bound`.  Deterministic given the adjacency order.
 
     Edge counts are strictly positive on every arc, so nodes whose keys tie on
     (weight, nedges) never relax each other and heap order within such a tie
@@ -301,7 +304,9 @@ def lex_dijkstra(adj: Callable[[object], Iterable[tuple[object, Arc]]],
             seq += 1
 
     while heap:
-        chain = heapq.heappop(heap)[3]
+        weight, nedges, _, chain = heapq.heappop(heap)
+        if bound is not None and (weight, nedges) > bound:
+            break
         node = chain.node
         if node in settled or best[node] is not chain:
             continue
@@ -310,8 +315,6 @@ def lex_dijkstra(adj: Callable[[object], Iterable[tuple[object, Arc]]],
             want.discard(node)
             if not want:
                 break
-        weight = chain.weight
-        nedges = chain.nedges
         for head, arc in adj(node):
             if head in settled:
                 continue

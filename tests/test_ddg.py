@@ -1,7 +1,7 @@
 import pytest
 
 from _search_reference import (ddg_dijkstra, graph_adjacency,
-                               parallel_zero_graph)
+                               parallel_zero_graph, tripled_zero_graph)
 from planarcut import weights
 from planarcut.ddg import build_ddgs, table_adjacency
 from planarcut.generators import (grid_graph, random_delaunay_graph,
@@ -29,6 +29,27 @@ def check_entry_walk(g, entry):
         assert entry.interior_min == min(interior)
 
 
+def stored_and_reference(piece, table, direct_adj):
+    """(stored entry, reference path) for every stored entry, after
+    checking that (s, t) is stored exactly when the reference canonical
+    path exists and has no boundary vertex strictly inside."""
+    bset = set(piece.boundary)
+    out = []
+    for s in piece.boundary:
+        got = ddg_dijkstra(direct_adj, [s], targets=piece.boundary)
+        for t in piece.boundary:
+            if t == s:
+                continue
+            want = got.get(t)
+            have = table.get((s, t))
+            direct = (want is not None
+                      and bset.isdisjoint(want.interior_vertices()))
+            assert (have is not None) == direct, (s, t)
+            if have is not None:
+                out.append((have, want))
+    return out
+
+
 def check_against_direct(g, sd, ddg):
     for piece in sd.pieces:
         table = ddg.int_tables[piece.id]
@@ -43,20 +64,11 @@ def check_against_direct(g, sd, ddg):
                 assert table == {}
             continue
         direct_adj = graph_adjacency(g, set(piece.edges))
-        for s in piece.boundary:
-            got = ddg_dijkstra(direct_adj, [s], targets=piece.boundary)
-            for t in piece.boundary:
-                if t == s:
-                    continue
-                want = got.get(t)
-                have = table.get((s, t))
-                assert (want is None) == (have is None)
-                if have is None:
-                    continue
-                assert have.weight == want.weight
-                assert have.nedges == want.nedges
-                assert have.darts() == want.darts()
-                check_entry_walk(g, have)
+        for have, want in stored_and_reference(piece, table, direct_adj):
+            assert have.weight == want.weight
+            assert have.nedges == want.nedges
+            assert have.darts() == want.darts()
+            check_entry_walk(g, have)
 
 
 def check_ext_against_direct(g, sd, ddg):
@@ -68,18 +80,9 @@ def check_ext_against_direct(g, sd, ddg):
         outside = all_edges - set(piece.edges)
         direct_adj = graph_adjacency(g, outside)
         table = ddg.ext_tables[piece.id]
-        for s in piece.boundary:
-            got = ddg_dijkstra(direct_adj, [s], targets=piece.boundary)
-            for t in piece.boundary:
-                if t == s:
-                    continue
-                want = got.get(t)
-                have = table.get((s, t))
-                assert (want is None) == (have is None)
-                if have is None:
-                    continue
-                assert have.weight == want.weight
-                assert have.darts() == want.darts()
+        for have, want in stored_and_reference(piece, table, direct_adj):
+            assert have.weight == want.weight
+            assert have.darts() == want.darts()
 
 
 def test_grid_int_tables_match_direct_search():
@@ -151,7 +154,7 @@ def test_union_adjacency_search_spans_pieces():
 
 
 # ---------------------------------------------------------------------------
-# direct entries: the only table entries the assembly searches over
+# direct entries: the only table entries stored and searched over
 
 
 DIRECT_GRAPHS = {
@@ -159,12 +162,14 @@ DIRECT_GRAPHS = {
     "delaunay": lambda: random_delaunay_graph(18, seed=2),
     "sparse": lambda: random_grid_subgraph(4, 5, seed=13, keep=0.5),
     "parallel-zero": parallel_zero_graph,
+    "tripled-zero": tripled_zero_graph,
 }
 
 
 def reference_ddgs(sd, ddg):
-    """Tables assembled with every entry of the input tables as a search
-    arc, not only the direct ones.  Leaf tables are shared with `ddg`."""
+    """Tables of every canonical path between boundary vertices, assembled
+    with every entry of the input tables as a search arc, not only the
+    direct ones.  Leaf tables are shared with `ddg`."""
     def adjacency(tables):
         adj: dict = {}
         for table in tables:
@@ -205,19 +210,31 @@ def reference_ddgs(sd, ddg):
     return int_tables, ext_tables
 
 
+def is_direct(entry, piece) -> bool:
+    return set(piece.boundary).isdisjoint(entry.interior_vertices())
+
+
+def table_pairs(sd, ddg):
+    """(piece, stored table, reference table) for every table of `ddg`."""
+    ref_int, ref_ext = reference_ddgs(sd, ddg)
+    for piece in sd.pieces:
+        yield piece, ddg.int_tables[piece.id], ref_int[piece.id]
+        yield piece, ddg.ext_tables[piece.id], ref_ext[piece.id]
+
+
 @pytest.mark.parametrize("name", sorted(DIRECT_GRAPHS))
 def test_direct_flag_matches_boundary_interior(name):
+    # a pair is stored exactly when its canonical path is direct
     g = DIRECT_GRAPHS[name]()
     sd = recursive_subdivide(g)
     ddg = build_ddgs(sd)
     seen = {True: 0, False: 0}
-    for piece in sd.pieces:
-        bset = set(piece.boundary)
-        for table in (ddg.int_tables[piece.id], ddg.ext_tables[piece.id]):
-            for entry in table.values():
-                assert entry.direct == bset.isdisjoint(
-                    entry.interior_vertices())
-                seen[entry.direct] += 1
+    for piece, have, want in table_pairs(sd, ddg):
+        for key, entry in want.items():
+            direct = is_direct(entry, piece)
+            assert (key in have) == direct, key
+            seen[direct] += 1
+        assert all(is_direct(entry, piece) for entry in have.values())
     assert seen[True] > 0 and seen[False] > 0
 
 
@@ -226,14 +243,16 @@ def test_direct_arcs_give_all_entry_tables(name):
     g = DIRECT_GRAPHS[name]()
     sd = recursive_subdivide(g)
     ddg = build_ddgs(sd)
-    ref_int, ref_ext = reference_ddgs(sd, ddg)
-    for pid in range(len(sd.pieces)):
-        for have, want in ((ddg.int_tables[pid], ref_int[pid]),
-                           (ddg.ext_tables[pid], ref_ext[pid])):
-            assert set(have) == set(want)
-            for key, entry in have.items():
-                assert entry.weight == want[key].weight
-                assert entry.darts() == want[key].darts()
+    omitted = 0
+    for piece, have, want in table_pairs(sd, ddg):
+        direct = {k for k, entry in want.items() if is_direct(entry, piece)}
+        assert set(have) == direct
+        omitted += len(want) - len(direct)
+        for key, entry in have.items():
+            assert entry.weight == want[key].weight
+            assert entry.nedges == want[key].nedges
+            assert entry.darts() == want[key].darts()
+    assert omitted > 0
 
 
 @pytest.mark.parametrize("name", sorted(DIRECT_GRAPHS))

@@ -135,7 +135,7 @@ def test_contact_rule_matches_interior_sets(monkeypatch):
                 if rule(entry, xcut, False) != want:
                     branches["exact needed"] += 1
             else:
-                branches["direct" if entry.direct else "chain"] += 1
+                branches["direct"] += 1
         return got
 
     monkeypatch.setattr(planarcut.sep_cycle, "_arc_touches_cut", checked)
@@ -143,7 +143,7 @@ def test_contact_rule_matches_interior_sets(monkeypatch):
         for mode in ("cut", "mcb"):
             build_oracle(CROSS_CHECK_GRAPHS[name](), mode=mode)
     assert all(branches[k] > 0 for k in
-               ("direct", "chain", "exact", "exact needed")), branches
+               ("direct", "exact", "exact needed")), branches
 
 
 def test_safe_cycles_same_weights(grid3, theta):

@@ -1,6 +1,8 @@
+import random
+
 from hypothesis import given, strategies as st
 
-from planarcut.generators import triangle_graph
+from planarcut.generators import grid_graph, triangle_graph
 from planarcut.oracle import build_oracle
 from planarcut.weights import (BASE_BITS, BASE_SHIFT, COUNT_BITS, EPS_EDGE,
                                INDEX_INF, INF_EDGE, INF_SHIFT, ZERO_EDGE,
@@ -229,3 +231,21 @@ def test_lex_dijkstra_is_reproducible():
     for v in range(5):
         seqs = {tuple(r[v].darts()) for r in runs}
         assert len(seqs) == 1
+
+
+def test_lex_dijkstra_bound_settles_the_unbounded_prefix():
+    # small weights make many nodes share a (weight, nedges) key, so some
+    # bounds fall exactly on a tie class
+    g = grid_graph(5, 6, rng=random.Random(3), max_weight=3)
+    rows = {v: [(g.head[d], dart_arc(g, d)) for d in g.out[v]]
+            for v in range(g.n)}
+    full = lex_dijkstra(rows.__getitem__, [7])
+    keys = sorted({(c.weight, c.nedges) for c in full.values()})
+    assert len(keys) < len(full)
+    for bound in [(-1, 0)] + keys:
+        got = lex_dijkstra(rows.__getitem__, [7], bound=bound)
+        assert set(got) == {v for v, c in full.items()
+                            if (c.weight, c.nedges) <= bound}
+        for v, chain in got.items():
+            assert chain.nodes() == full[v].nodes()
+            assert chain.darts() == full[v].darts()
