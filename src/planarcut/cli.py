@@ -281,7 +281,7 @@ def _cmd_bench(args) -> int:
             sd = holder["sd"]
             print("piece\tlevel\tedges\tboundary\tholes")
             for p in sd.pieces:
-                holes = sd.subpiece(p.id).hole_faces
+                holes = sd.hole_faces(p.id)
                 print(f"{p.id}\t{p.depth}\t{len(p.edges)}"
                       f"\t{len(p.boundary)}\t{holes}")
     return EXIT_OK

@@ -76,10 +76,6 @@ class DifferentTrees(InputError):
     """Query endpoints lie in different trees."""
 
 
-class DOutOfRange(InputError):
-    """A depth or child request leaves the root-to-node path."""
-
-
 # -- region tree / separating cycles ----------------------------------------
 
 class InductionViolated(InternalAssertion):

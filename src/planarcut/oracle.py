@@ -329,8 +329,6 @@ class CutReportTables:
             self.p_darts.append(list(darts))
             self.d1.append(-1)
             self.d2.append(-1)
-            for i, d in enumerate(darts):
-                self.owner[d] = (idx, i)
             return
         if not any(owned):
             raise InternalAssertion("cycle owns none of its darts")
@@ -347,12 +345,12 @@ class CutReportTables:
         self.p_darts.append(path)
         self.d1.append(darts[start - 1])
         self.d2.append(darts[(start + len(path)) % k])
-        for i, d in enumerate(path):
-            self.owner[d] = (idx, i)
 
     def finalize(self) -> None:
-        """Index the d1 darts by owning cycle, deepest first, for reroute
-        lookups during expansion."""
+        """Index each P-path dart by its place, and the d1 darts by owning
+        cycle, deepest first, for reroute lookups during expansion."""
+        self.owner = {d: (idx, i) for idx, path in enumerate(self.p_darts)
+                      for i, d in enumerate(path)}
         self.descend = {}
         for x, d in enumerate(self.d1):
             if d != -1:
@@ -411,64 +409,81 @@ def build_cut_report_tables(tree: RegionTree,
     to_host_face = chain.host_face_of_h1_face
     tables = CutReportTables()
 
+    # one preorder walk gives every region its depth and an interval, so
+    # the ancestry tests below take constant time; the stored intervals
+    # serve the same tests during expansion, with no tree after loading
+    tin: dict[int, int] = {}
+    tout: dict[int, int] = {}
+    depth: dict[int, int] = {}
+    clock = 0
+    stack = [(tree.root, 0, False)]
+    while stack:
+        region, dep, done = stack.pop()
+        if done:
+            tout[region] = clock - 1
+            continue
+        tin[region] = clock
+        depth[region] = dep
+        clock += 1
+        stack.append((region, dep, True))
+        for child in tree.children[region]:
+            if tree.is_region(child):
+                stack.append((child, dep + 1, False))
+
+    def inside(region: int, face: int) -> bool:
+        return tin[region] <= tin[tree.parent(face)] <= tout[region]
+
     def owner_region(d: int) -> int:
+        """The child of lca(fl, fr) toward fr: the last node on the walk up
+        from fr before a region that holds fl."""
         fr = to_host_face[h1.face_of[d ^ 1]]
         fl = to_host_face[h1.face_of[d]]
         if fl == fr:
             raise InternalAssertion("cycle dart with equal flank faces")
-        return tree.jump_child(tree.lca(fl, fr), fr)
+        x = fr
+        while not inside(tree.parent(x), fl):
+            x = tree.parent(x)
+        return x
 
     # regions ordered deepest first so the counterclockwise probe can
     # discard darts once they sink into ancestor interiors
     regions = [r for r in tree.children
                if r != tree.root and tree.cycles.get(r) is not None]
-    regions.sort(key=tree.dt.depth, reverse=True)
+    regions.sort(key=depth.__getitem__, reverse=True)
     consumed: set[int] = set()
 
     for region in regions:
-        darts = _h1_cycle_darts(tree, chain, region, tree.cycles[region])
+        darts = _h1_cycle_darts(inside, chain, region, tree.cycles[region])
         owned = [owner_region(d) == region for d in darts]
         tables.add_cycle(region, darts, owned)
         idx = tables.index_of_region[region]
         if tables.d1[idx] != -1:
-            probe = _ccw_probe(h1, tree, region,
+            probe = _ccw_probe(h1, chain.host, inside, region,
                                tables.p_darts[idx][-1], consumed)
             if probe != tables.d2[idx]:
                 raise InternalAssertion("succinct d2 probe disagrees")
 
     root_cycle = tree.cycles.get(tree.root)
     if root_cycle is not None:
-        darts = _h1_cycle_darts(tree, chain, tree.root, root_cycle)
+        darts = _h1_cycle_darts(inside, chain, tree.root, root_cycle)
         tables.add_cycle(tree.root, darts, [True] * len(darts))
 
-    # preorder intervals over the region tree give constant-time ancestor
-    # tests during expansion, with no tree needed after deserialization
     n_cycles = len(tables.p_darts)
     tables.tin = [0] * n_cycles
     tables.tout = [0] * n_cycles
     tables.depth = [0] * n_cycles
-    clock = 0
-    stack = [(tree.root, 0, False)]
-    while stack:
-        region, dep, done = stack.pop()
+    for region in tin:
         idx = tables.index_of_region.get(region)
         if idx is None:
             raise InternalAssertion("region without a stored cycle")
-        if done:
-            tables.tout[idx] = clock - 1
-            continue
-        tables.tin[idx] = clock
-        tables.depth[idx] = dep
-        clock += 1
-        stack.append((region, dep, True))
-        for child in tree.children[region]:
-            if tree.is_region(child):
-                stack.append((child, dep + 1, False))
+        tables.tin[idx] = tin[region]
+        tables.tout[idx] = tout[region]
+        tables.depth[idx] = depth[region]
     tables.finalize()
 
     for region, idx in tables.index_of_region.items():
         got, _ = tables.expand_index(idx)
-        want = _h1_cycle_darts(tree, chain, region, tree.cycles[region])
+        want = _h1_cycle_darts(inside, chain, region, tree.cycles[region])
         if not _same_cycle(got, want):
             raise InternalAssertion(
                 "stored tables do not reproduce the cycle of region "
@@ -486,10 +501,11 @@ def _same_cycle(a: list[int], b: list[int]) -> bool:
     return all(a[i] == b[(shift + i) % len(b)] for i in range(len(a)))
 
 
-def _h1_cycle_darts(tree: RegionTree, chain: HostChain, region: int,
+def _h1_cycle_darts(inside, chain: HostChain, region: int,
                     cyc) -> list[int]:
     """Cycle darts mapped to the pre-expansion host, oriented with the
-    region's interior on the right."""
+    region's interior on the right.  `inside(region, face)` tells whether
+    a host face lies in the region."""
     host = chain.host
     back = chain.h1_dart_of_host
     host_darts = cyc.darts()
@@ -497,13 +513,13 @@ def _h1_cycle_darts(tree: RegionTree, chain: HostChain, region: int,
     if not darts:
         raise InternalAssertion("cycle vanished in the pre-expansion host")
     probe = next(d for d in host_darts if back[d] != -1)
-    if not tree.is_descendant(region, host.face_of[probe ^ 1]):
+    if not inside(region, host.face_of[probe ^ 1]):
         darts = [d ^ 1 for d in reversed(darts)]
     return darts
 
 
-def _ccw_probe(h1: PlanarEmbedding, tree: RegionTree, region: int,
-               last_dart: int, consumed: set) -> int:
+def _ccw_probe(h1: PlanarEmbedding, host: PlanarEmbedding, inside,
+               region: int, last_dart: int, consumed: set) -> int:
     """First dart of the cycle after P(C): scan darts leaving P(C)'s end
     counterclockwise from the reverse of its last dart, discarding misses
     for good (they are interior to every ancestor cycle)."""
@@ -515,7 +531,11 @@ def _ccw_probe(h1: PlanarEmbedding, tree: RegionTree, region: int,
         d = rot[(start - step) % k]
         if d in consumed:
             continue
-        if tree.is_boundary_edge(d >> 1, region):
+        # the degree-3 pass keeps the edge ids of the pre-expansion host;
+        # a boundary edge has exactly one face in the region
+        e = d >> 1
+        if inside(region, host.face_of[2 * e]) != inside(
+                region, host.face_of[2 * e + 1]):
             return d
         consumed.add(d)
     raise InternalAssertion("no boundary dart follows P(C)")
@@ -530,13 +550,17 @@ class MinCutOracle:
     sets in output-sensitive time, explicit minimum cycle basis."""
 
     def __init__(self, mode: str, n_nodes: int, scale: int,
-                 gh_edges: list, pmi, tables: CutReportTables,
+                 gh_edges: list, tables: CutReportTables,
                  edge_of_dart: list, stats: dict):
         self.mode = mode
         self.n_nodes = n_nodes
         self.scale = scale
         self.gh_edges = gh_edges          # (u, v, base, eps, table index)
-        self._pmi = pmi
+        self._pmi = None
+        if mode == "cut":
+            self._pmi = PathMinIndex(n_nodes,
+                                     [((base, eps), idx, u, v)
+                                      for u, v, base, eps, idx in gh_edges])
         self._tables = tables
         self._edge_of_dart = edge_of_dart
         self.stats = stats
@@ -630,7 +654,7 @@ class MinCutOracle:
                     gh_edges.append(struct.unpack("<qqqqq", fh.read(40)))
                 tables = CutReportTables()
                 (n_cycles,) = struct.unpack("<q", fh.read(8))
-                for idx in range(n_cycles):
+                for _ in range(n_cycles):
                     rec = struct.unpack("<qqqqqq", fh.read(48))
                     k, d1, d2, tin, tout, depth = rec
                     p = list(struct.unpack(f"<{k}q", fh.read(8 * k)))
@@ -640,8 +664,6 @@ class MinCutOracle:
                     tables.tin.append(tin)
                     tables.tout.append(tout)
                     tables.depth.append(depth)
-                    for i, d in enumerate(p):
-                        tables.owner[d] = (idx, i)
                 tables.finalize()
                 (nd,) = struct.unpack("<q", fh.read(8))
                 edge_of_dart = list(struct.unpack(f"<{nd}q", fh.read(8 * nd)))
@@ -650,13 +672,7 @@ class MinCutOracle:
                 raise InputError(
                     f"truncated or corrupt oracle file: {exc}") from None
         mode = "cut" if mode_flag == 0 else "mcb"
-        pmi = None
-        if mode == "cut":
-            pmi = PathMinIndex(n_nodes,
-                               [((base, eps), idx, u, v)
-                                for u, v, base, eps, idx in gh_edges])
-        return cls(mode, n_nodes, scale, gh_edges, pmi, tables,
-                   edge_of_dart, {})
+        return cls(mode, n_nodes, scale, gh_edges, tables, edge_of_dart, {})
 
 
 def build_oracle(g0: PlanarEmbedding, mode: str = "cut",
@@ -685,13 +701,7 @@ def build_oracle(g0: PlanarEmbedding, mode: str = "cut",
 
     tables = build_cut_report_tables(tree, chain)
     gh_edges = _contract_tree(tree, chain, tables)
-
-    pmi = None
-    if mode == "cut":
-        pmi = PathMinIndex(n_nodes,
-                           [((base, eps), idx, u, v)
-                            for u, v, base, eps, idx in gh_edges])
-    return MinCutOracle(mode, n_nodes, g0.scale, gh_edges, pmi, tables,
+    return MinCutOracle(mode, n_nodes, g0.scale, gh_edges, tables,
                         chain.input_edge_of_h1_dart, stats)
 
 

@@ -11,14 +11,15 @@ dual spanning tree.  Each region keeps its bounding cycle as a
 `CompactCycle`: the cycle's host darts in order, with its weight and edge
 count.
 
-Ancestry queries (lca, child toward a descendant, descendant tests) run on
-a link-cut forest and drive the edge classification rules: an edge's home
+Ancestry queries (lca, child toward a descendant, descendant tests) walk
+up the parent pointers of a `DynamicTree`; the trees stay shallow (see
+`dynamic_tree`).  They drive the edge classification rules: an edge's home
 region is the lca of its two adjacent faces, and an edge lies on a region's
 bounding cycle exactly when that region separates the edge's faces.
 
-Nothing relocates while an insertion searches, so it asks the forest once
-per face for the face's class: the child of the split region toward it, or
-None outside.  Edge membership follows from the two classes (see
+Nothing relocates while an insertion searches, so it walks once per face
+for the face's class: the child of the split region toward it, or None
+outside.  Edge membership follows from the two classes (see
 `edge_in_region`), and the classes met are the members to move.
 
 Every edge must have two different faces.  The oracle's host has no bridge
@@ -31,8 +32,8 @@ from __future__ import annotations
 from collections import deque
 
 from .dynamic_tree import DynamicTree
-from .errors import (DOutOfRange, InductionViolated, InternalAssertion,
-                     NotSeparating, UnknownEdge)
+from .errors import (InductionViolated, InternalAssertion, NotSeparating,
+                     UnknownEdge)
 from .planar_core import PlanarEmbedding
 
 class CompactCycle:
@@ -129,13 +130,6 @@ class RegionTree:
 
     def lca(self, a: int, b: int) -> int:
         return self.dt.lca(a, b)
-
-    def jump_child(self, region: int, node: int) -> int:
-        """Child of `region` on the path toward descendant `node`."""
-        child = self.dt.child_toward(region, node)
-        if child is None:
-            raise DOutOfRange(f"{region} is not a proper ancestor of {node}")
-        return child
 
     def is_descendant(self, anc: int, node: int) -> bool:
         return self.dt.is_descendant(anc, node)
@@ -362,7 +356,7 @@ class RegionTree:
 
 class _FaceClasses(dict):
     """Face -> child of `region` on the path to it (None outside the
-    region), asked of the forest once per face while nothing relocates."""
+    region), walked once per face while nothing relocates."""
 
     __slots__ = ("dt", "region")
 

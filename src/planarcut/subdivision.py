@@ -47,14 +47,13 @@ class Piece:
 class SubPiece:
     """Embedded subgraph of the host induced by a piece's edges."""
 
-    __slots__ = ("sub", "v_host", "e_host", "hole_faces")
+    __slots__ = ("sub", "v_host", "e_host")
 
     def __init__(self, sub: PlanarEmbedding, v_host: list[int],
-                 e_host: list[int], hole_faces: int):
+                 e_host: list[int]):
         self.sub = sub
         self.v_host = v_host
         self.e_host = e_host
-        self.hole_faces = hole_faces
 
 
 class Subdivision:
@@ -75,6 +74,13 @@ class Subdivision:
     def subpiece(self, pid: int) -> SubPiece:
         """The embedded subgraph of one piece, built afresh on each call."""
         return _build_subpiece(self.g, self.pieces[pid])
+
+    def hole_faces(self, pid: int) -> int:
+        """Faces of the piece's own embedding that touch its boundary."""
+        sp = self.subpiece(pid)
+        bset = set(self.pieces[pid].boundary)
+        return sum(1 for orbit in sp.sub.faces
+                   if any(sp.v_host[sp.sub.head[d]] in bset for d in orbit))
 
 
 def _edge_vertices(g: PlanarEmbedding, edges: list[int]) -> list[int]:
@@ -105,10 +111,7 @@ def _build_subpiece(g: PlanarEmbedding, piece: Piece) -> SubPiece:
         head[2 * se + 1] = v_sub[g.head[2 * he + 1]]
     sub = PlanarEmbedding(len(v_host), head, out,
                           [g.weights[e] for e in e_host], g.scale)
-    bset = set(piece.boundary)
-    hole_faces = sum(1 for orbit in sub.faces
-                     if any(v_host[sub.head[d]] in bset for d in orbit))
-    return SubPiece(sub, v_host, e_host, hole_faces)
+    return SubPiece(sub, v_host, e_host)
 
 
 # -- separator ------------------------------------------------------------------

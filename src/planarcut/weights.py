@@ -274,14 +274,15 @@ def lex_dijkstra(adj: Callable[[object], Iterable[tuple[object, Arc]]],
 
     `adj(node)` yields (head node, Arc) pairs; the head is the search node
     the arc enters, which need not be the arc's `dst` vertex itself (see
-    the cut-open universe in `sep_cycle`).  `sources` is a sequence of nodes
-    or prebuilt PathChain seeds.  Returns {node: PathChain} for every
-    settled node.  With `targets` the search stops once all targets are
-    settled; the other nodes it returns then depend on heap order, so
-    callers read only the targets.  With `bound` = (weight, nedges) the
-    search stops once the smallest key on the heap is strictly above it, so
-    it settles exactly the nodes of the unbounded search whose key is at
-    most `bound`.  Deterministic given the adjacency order.
+    the cut-open universe in `sep_cycle`).  `sources` is a sequence of
+    distinct nodes, each starting at key zero.  Returns {node: PathChain}
+    for every settled node.  With `targets` the search stops once all
+    targets are settled; the other nodes it returns then depend on heap
+    order, so callers read only the targets.  With `bound` =
+    (weight, nedges) the search stops once the smallest key on the heap is
+    strictly above it, so it settles exactly the nodes of the unbounded
+    search whose key is at most `bound`.  Deterministic given the adjacency
+    order.
 
     Edge counts are strictly positive on every arc, so nodes whose keys tie on
     (weight, nedges) never relax each other and heap order within such a tie
@@ -296,12 +297,9 @@ def lex_dijkstra(adj: Callable[[object], Iterable[tuple[object, Arc]]],
     want = set(targets) if targets is not None else None
 
     for s in sources:
-        chain = s if isinstance(s, PathChain) else PathChain.source(s)
-        cur = best.get(chain.node)
-        if cur is None or compare_chains(chain, cur, index_of) < 0:
-            best[chain.node] = chain
-            heapq.heappush(heap, (chain.weight, chain.nedges, seq, chain))
-            seq += 1
+        chain = best[s] = PathChain.source(s)
+        heapq.heappush(heap, (0, 0, seq, chain))
+        seq += 1
 
     while heap:
         weight, nedges, _, chain = heapq.heappop(heap)

@@ -15,7 +15,7 @@ from planarcut.generators import (grid_graph, random_delaunay_graph,
                                   triangle_graph)
 from planarcut.oracle import (HostChain, MinCutOracle, PathMinIndex,
                               build_oracle)
-from planarcut.sep_cycle import min_separating_cycle_safe
+from planarcut.sep_cycle import FallbackNeeded, min_separating_cycle_safe
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +104,37 @@ def test_engines_agree_during_build(name, mode, monkeypatch):
                         checked)
     orc = build_oracle(CROSS_CHECK_GRAPHS[name](), mode=mode)
     assert calls[0] == orc.stats["inserts"] > 0
+
+
+def stored_answers(orc) -> tuple:
+    t = orc._tables
+    return orc.gh_edges, t.p_darts, t.d1, t.d2
+
+
+@pytest.mark.parametrize("name,mode", [
+    pytest.param(name, mode, id=name if mode == "cut" else f"{name}-mcb")
+    for name in sorted(CROSS_CHECK_GRAPHS) for mode in ("cut", "mcb")])
+def test_fallback_to_safe_engine_keeps_answers(name, mode, monkeypatch):
+    # no measured build makes the fast engine give up, so it is made to on
+    # every other call; the safe engine must then find the same cycles
+    want = stored_answers(build_oracle(CROSS_CHECK_GRAPHS[name](), mode=mode))
+    fast = planarcut.oracle.min_separating_cycle_fast
+    calls = [0]
+    raised = [0]
+
+    def give_up_every_other_call(ctx, region, fa, fb, stats=None):
+        calls[0] += 1
+        if calls[0] % 2:
+            raised[0] += 1
+            raise FallbackNeeded("forced")
+        return fast(ctx, region, fa, fb, stats=stats)
+
+    monkeypatch.setattr(planarcut.oracle, "min_separating_cycle_fast",
+                        give_up_every_other_call)
+    orc = build_oracle(CROSS_CHECK_GRAPHS[name](), mode=mode)
+    assert raised[0] > 0
+    assert orc.stats["fallbacks"] == raised[0]
+    assert stored_answers(orc) == want
 
 
 def interior_set(arc) -> set:

@@ -4,8 +4,8 @@ from itertools import permutations
 
 import pytest
 
-from planarcut.errors import (DOutOfRange, InductionViolated,
-                              InternalAssertion, NotSeparating)
+from planarcut.errors import (InductionViolated, InternalAssertion,
+                              NotSeparating)
 from planarcut.generators import (embedding_from_coordinates, grid_graph,
                                   random_delaunay_graph)
 from planarcut.region_tree import (CompactCycle, RegionTree, region_subpiece,
@@ -66,9 +66,8 @@ def test_star_init(tri):
     assert tree.face_child_count[tree.root] == 2
     assert not tree.complete()
     assert tree.lca(0, 1) == tree.root
-    assert tree.jump_child(tree.root, 1) == 1
-    with pytest.raises(DOutOfRange):
-        tree.jump_child(0, 1)
+    assert tree.dt.child_toward(tree.root, 1) == 1
+    assert tree.dt.child_toward(0, 1) is None
     for e in range(tri.m):
         assert tree.edge_home_region(e) == tree.root
         assert not tree.is_boundary_edge(e, tree.root)
