@@ -5,7 +5,7 @@ Cut mode works on the dual (cycles separating dual faces are cuts of the
 input); mcb mode runs the same machinery on the graph itself and returns
 the minimum cycle basis.  The pipeline is
 
-    input -> [dual] -> subdivide-to-simple -> triangulate finite faces ->
+    input -> [dual] -> subdivide-to-simple -> chord pinched finite faces ->
     bounding cycle -> degree-3 expansion = host
 
 followed by the recursive subdivision, dense distance tables, and the
@@ -14,11 +14,16 @@ deepest pieces first.  The complete region tree contracts to the Gomory-Hu
 tree; a path-minimum index answers weight queries in constant time, and
 cut edge sets are reported through the succinct cycle representation on
 the pre-expansion host so reported work is proportional to cut size.
+
+A pinched face is one whose walk visits a vertex twice.  Only those faces
+get (infinite-weight) chords: they are the ones whose degree-3 expansion
+would leave a host edge with the same face on both sides.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
 
 from .ddg import build_ddgs
@@ -59,8 +64,12 @@ class HostChain:
         self.g0 = g0
         base = dual(g0) if dualize else g0
         g1, t1 = subdivide_to_simple(base)
-        finite = [f for f in range(len(g1.faces)) if f != g1.infinite_face]
-        g2, t2 = triangulate(g1, finite)
+        # a finite face whose walk repeats a vertex would leave an edge with
+        # one face on both sides after the degree-3 expansion; chord only those
+        pinched = [f for f, orbit in enumerate(g1.faces)
+                   if f != g1.infinite_face
+                   and len({g1.head[d] for d in orbit}) < len(orbit)]
+        g2, t2 = triangulate(g1, pinched)
         g3, t3 = add_bounding_cycle(g2)
         g4, t4 = degree_three_transform(g3)
         g4.meta["bounding_cycle_edges"] = sorted(
@@ -641,38 +650,97 @@ class MinCutOracle:
 
     @classmethod
     def load(cls, path: str) -> "MinCutOracle":
+        """Read a saved oracle.  Every count, index and dart is checked in
+        one linear pass, so a corrupt or truncated file raises InputError."""
         with open(path, "rb") as fh:
-            if fh.read(4) != MAGIC:
-                raise InputError("not an oracle file")
-            try:
-                version, mode_flag = struct.unpack("<HH", fh.read(4))
-                if version != 1:
-                    raise InputError(f"unsupported oracle version {version}")
-                n_nodes, scale, n_edges = struct.unpack("<qqq", fh.read(24))
-                gh_edges = []
-                for _ in range(n_edges):
-                    gh_edges.append(struct.unpack("<qqqqq", fh.read(40)))
-                tables = CutReportTables()
-                (n_cycles,) = struct.unpack("<q", fh.read(8))
-                for _ in range(n_cycles):
-                    rec = struct.unpack("<qqqqqq", fh.read(48))
-                    k, d1, d2, tin, tout, depth = rec
-                    p = list(struct.unpack(f"<{k}q", fh.read(8 * k)))
-                    tables.p_darts.append(p)
-                    tables.d1.append(d1)
-                    tables.d2.append(d2)
-                    tables.tin.append(tin)
-                    tables.tout.append(tout)
-                    tables.depth.append(depth)
-                tables.finalize()
-                (nd,) = struct.unpack("<q", fh.read(8))
-                edge_of_dart = list(struct.unpack(f"<{nd}q", fh.read(8 * nd)))
-            except struct.error as exc:
-                # a short read leaves struct.unpack too few bytes
-                raise InputError(
-                    f"truncated or corrupt oracle file: {exc}") from None
+            data = fh.read()
+        if data[:4] != MAGIC:
+            raise InputError("not an oracle file")
+        if len(data) < 8:
+            raise _corrupt("no header")
+        version, mode_flag = struct.unpack_from("<HH", data, 4)
+        if version != 1:
+            raise InputError(f"unsupported oracle version {version}")
+        if mode_flag not in (0, 1):
+            raise _corrupt(f"mode flag {mode_flag}")
         mode = "cut" if mode_flag == 0 else "mcb"
-        return cls(mode, n_nodes, scale, gh_edges, tables, edge_of_dart, {})
+        # after the header the file is little-endian 64-bit ints
+        if len(data) % 8:
+            raise _corrupt(f"{len(data) - 8} bytes after the header are "
+                           "not whole 8-byte ints")
+        vals = array("q", data[8:])
+        if sys.byteorder == "big":
+            vals.byteswap()
+        vals = vals.tolist()
+        size = len(vals)
+
+        if size < 4:
+            raise _corrupt("header ends early")
+        n_nodes, scale, n_edges = vals[:3]
+        if n_nodes < 0 or scale < 1:
+            raise _corrupt(f"{n_nodes} nodes, scale {scale}")
+        pos = 3 + 5 * n_edges
+        if n_edges < 0 or pos >= size:
+            raise _corrupt(f"tree edge count {n_edges}")
+        if mode == "cut" and n_edges != n_nodes - 1:
+            raise _corrupt(f"{n_edges} tree edges on {n_nodes} nodes")
+        gh_edges = [tuple(vals[i:i + 5]) for i in range(3, pos, 5)]
+
+        tables = CutReportTables()
+        n_cycles = vals[pos]
+        pos += 1
+        # each cycle record is six ints and at least one dart
+        if n_cycles < 0 or pos + 7 * n_cycles >= size:
+            raise _corrupt(f"cycle count {n_cycles}")
+        for _ in range(n_cycles):
+            if pos + 7 >= size:
+                raise _corrupt("file ends inside a cycle record")
+            k, d1, d2, tin, tout, depth = vals[pos:pos + 6]
+            pos += 6
+            if k < 1 or pos + k >= size or (d1 == -1) != (d2 == -1):
+                raise _corrupt(f"cycle record {(k, d1, d2)}")
+            tables.p_darts.append(vals[pos:pos + k])
+            pos += k
+            tables.d1.append(d1)
+            tables.d2.append(d2)
+            tables.tin.append(tin)
+            tables.tout.append(tout)
+            tables.depth.append(depth)
+        nd = vals[pos]
+        pos += 1
+        if nd < 0 or pos + nd > size:
+            raise _corrupt(f"dart count {nd}")
+        if pos + nd < size:
+            raise _corrupt(f"{8 * (size - pos - nd)} trailing bytes")
+        edge_of_dart = vals[pos:]
+
+        # range checks by column minima and maxima
+        if gh_edges:
+            us, vs, bases, epss, idxs = zip(*gh_edges)
+            if (min(us + vs) < 0 or max(us + vs) >= n_nodes
+                    or min(bases) < 0 or min(epss) < 0
+                    or min(idxs) < 0 or max(idxs) >= n_cycles):
+                raise _corrupt("a tree edge is out of range")
+        ends = tables.d1 + tables.d2
+        if n_cycles and (min(map(min, tables.p_darts)) < 0
+                         or max(map(max, tables.p_darts)) >= nd
+                         or min(ends) < -1 or max(ends) >= nd):
+            raise _corrupt(f"a cycle dart lies outside the {nd} darts")
+        if nd and min(edge_of_dart) < -1:
+            raise _corrupt("negative edge id")
+        tables.finalize()
+        if not tables.owner.keys() >= set(tables.d2) - {-1}:
+            raise _corrupt("a cycle continues on a dart no cycle stores")
+        try:
+            return cls(mode, n_nodes, scale, gh_edges, tables, edge_of_dart,
+                       {})
+        except InternalAssertion as exc:
+            # the path-min index refuses tree edges that close a cycle
+            raise _corrupt(str(exc)) from None
+
+
+def _corrupt(what: str) -> InputError:
+    return InputError(f"truncated or corrupt oracle file: {what}")
 
 
 def build_oracle(g0: PlanarEmbedding, mode: str = "cut",

@@ -541,10 +541,13 @@ def triangulate(g: PlanarEmbedding,
                 faces: list[int] | None = None) -> tuple[PlanarEmbedding, TransformTrace]:
     """Chord faces down to triangles with infinite-weight edges.
 
-    By default every face is chorded; pass `faces` to restrict (the oracle
-    pipeline leaves the infinite face to the bounding-cycle step).  Ear
-    positions with coincident endpoints (faces that visit a vertex twice) are
-    skipped, which always leaves a valid ear on simple-face walks."""
+    By default every face is chorded; pass `faces` to restrict.  The oracle
+    pipeline passes only the finite faces whose walk visits a vertex twice,
+    which would otherwise leave an edge with one face on both sides after
+    the degree-3 expansion; the bounding-cycle step handles the infinite
+    face.  Ear positions whose chord would join a vertex to itself are
+    skipped; a walk of more than three darts with no other position raises
+    InternalAssertion."""
     mut = _Mutable(g)
     chosen = g.faces if faces is None else [g.faces[f] for f in faces]
     for orbit in chosen:

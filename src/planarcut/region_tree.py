@@ -11,20 +11,21 @@ dual spanning tree.  Each region keeps its bounding cycle as a
 `CompactCycle`: the cycle's host darts in order, with its weight and edge
 count.
 
-Ancestry queries (lca, child toward a descendant, descendant tests) walk
-up the parent pointers of a `DynamicTree`; the trees stay shallow (see
-`dynamic_tree`).  They drive the edge classification rules: an edge's home
-region is the lca of its two adjacent faces, and an edge lies on a region's
-bounding cycle exactly when that region separates the edge's faces.
+Ancestry queries (child toward a descendant, descendant tests) walk up
+the parent pointers of a `DynamicTree`; the trees stay shallow (see
+`dynamic_tree`).  They drive the edge classification rule: a face's class
+under a region is the child of the region toward it, or None outside, and
+an edge belongs to the region's closed graph exactly when its two faces
+have different classes (see `edge_in_region`).
 
-Nothing relocates while an insertion searches, so it walks once per face
-for the face's class: the child of the split region toward it, or None
-outside.  Edge membership follows from the two classes (see
-`edge_in_region`), and the classes met are the members to move.
+Nothing relocates while an insertion or a subpiece query runs, so each
+walks once per face, up to the region only, for the face's class.  During
+an insertion the classes met are the members to move.
 
-Every edge must have two different faces.  The oracle's host has no bridge
-(its faces are triangles before the degree-3 expansion), and the
-constructor checks this once.
+Every edge must have two different faces, and the constructor checks this
+once.  The oracle's host has no bridge: before the degree-3 expansion it
+chords every finite face whose walk repeats a vertex, and the bounding
+cycle fans out the infinite face.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from __future__ import annotations
 from collections import deque
 
 from .dynamic_tree import DynamicTree
-from .errors import (InductionViolated, InternalAssertion, NotSeparating,
-                     UnknownEdge)
+from .errors import InductionViolated, InternalAssertion, NotSeparating
 from .planar_core import PlanarEmbedding
 
 class CompactCycle:
@@ -128,23 +128,8 @@ class RegionTree:
     def parent(self, node: int):
         return self.dt.parent_of(node)
 
-    def lca(self, a: int, b: int) -> int:
-        return self.dt.lca(a, b)
-
     def is_descendant(self, anc: int, node: int) -> bool:
         return self.dt.is_descendant(anc, node)
-
-    def edge_home_region(self, e: int) -> int:
-        if not 0 <= e < self.g.m:
-            raise UnknownEdge(f"edge {e}")
-        return self.lca(self.g.face_of[2 * e], self.g.face_of[2 * e + 1])
-
-    def is_boundary_edge(self, e: int, region: int) -> bool:
-        """Whether e lies on the region's bounding cycle: the region holds
-        exactly one of e's faces (its home region is then a proper
-        ancestor of the region)."""
-        return (self.is_descendant(region, self.g.face_of[2 * e])
-                != self.is_descendant(region, self.g.face_of[2 * e + 1]))
 
     def enclosed_parity(self, face: int, cycle_edges: frozenset) -> bool:
         """True iff `face` is enclosed by the cycle with the given edge set."""
@@ -439,9 +424,10 @@ def regions_with_unseparated_pair(tree: RegionTree,
 
 
 def region_subpiece(tree: RegionTree, region: int, group_edges) -> set:
-    """Edges of the region subpiece: the group edges whose home is the
-    region, plus the group edges on the region's bounding cycle."""
-    cyc = tree.cycles.get(region)
-    on_cycle = cyc.edge_ids() if cyc is not None else frozenset()
+    """Edges of the region subpiece: the group edges in the region's closed
+    graph, those whose two faces have different classes under the region
+    (see `edge_in_region`).  Each face is walked once, up to the region."""
+    classes = _FaceClasses(tree.dt, region)
+    face_of = tree.g.face_of
     return {e for e in group_edges
-            if tree.edge_home_region(e) == region or e in on_cycle}
+            if classes[face_of[2 * e]] != classes[face_of[2 * e + 1]]}

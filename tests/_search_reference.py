@@ -1,6 +1,8 @@
 """Reference searches shared by the tests: plain dart adjacencies of the
 embedding, a lexicographic search that returns table entries and a cut
-check; plus graphs with parallel edges and zero weights."""
+check; graphs with parallel edges and zero weights; and region-tree
+ancestry by parent walks (lca, an edge's home region, the bounding-cycle
+test and the subpiece rule they give)."""
 
 import random
 
@@ -93,3 +95,40 @@ def tripled_zero_graph(seed=15):
     weights = [TieBreakWeight.of(0) if r.random() < 0.3 else w
                for w in weights]
     return build_embedding(g.n, edges, weights, rotations)
+
+
+def tree_lca(tree, a, b):
+    """Nearest common ancestor of two region-tree nodes, by parent walks."""
+    above = set()
+    x = a
+    while x is not None:
+        above.add(x)
+        x = tree.parent(x)
+    x = b
+    while x not in above:
+        x = tree.parent(x)
+    return x
+
+
+def edge_home_region(tree, e):
+    """The lca of an edge's two faces: the region whose closed graph holds
+    the edge off its bounding cycle."""
+    g = tree.g
+    return tree_lca(tree, g.face_of[2 * e], g.face_of[2 * e + 1])
+
+
+def is_boundary_edge(tree, e, region):
+    """Whether e lies on the region's bounding cycle: the region holds
+    exactly one of e's faces."""
+    g = tree.g
+    return (tree.is_descendant(region, g.face_of[2 * e])
+            != tree.is_descendant(region, g.face_of[2 * e + 1]))
+
+
+def region_subpiece_by_home(tree, region, group_edges):
+    """The group edges whose home is the region, plus the group edges on
+    the region's bounding cycle: the subpiece rule by lca."""
+    cyc = tree.cycles.get(region)
+    on_cycle = cyc.edge_ids() if cyc is not None else frozenset()
+    return {e for e in group_edges
+            if edge_home_region(tree, e) == region or e in on_cycle}

@@ -5,8 +5,10 @@ import sys
 import pytest
 
 from planarcut.cli import main
-from planarcut.generators import theta_graph
+from planarcut.errors import InputError
+from planarcut.generators import grid_graph, theta_graph
 from planarcut.graphio import save_graph
+from planarcut.oracle import MinCutOracle, build_oracle
 
 SINGLE_EDGE = "2 1\n0 1 5\n0\n0\n"
 
@@ -105,6 +107,53 @@ def test_truncated_oracle_exit_code(tmp_path, single_edge_file, capsys):
     proc = subprocess.run([sys.executable, "-m", "planarcut.cli", "query",
                            str(orc), "0", "1"], env=env,
                           capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "truncated or corrupt" in proc.stderr
+
+
+def run_cli(*args):
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "planarcut.cli", *args],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def put_int(data: bytes, offset: int, value: int) -> bytes:
+    return data[:offset] + value.to_bytes(8, "little", signed=True) + \
+        data[offset + 8:]
+
+
+# A saved 3 x 3 grid cut oracle is: magic and version (8 bytes), n_nodes
+# at 8, scale at 16, the tree edge count at 24, then 40-byte tree edges
+# (u, v, base, eps, table index) from 32, then the cycle count and the
+# cycle records, each (length, d1, d2, tin, tout, depth) and its darts.
+CORRUPTIONS = {
+    "negative-nodes": lambda d, first: put_int(d, 8, -5),
+    "endpoint-out-of-range": lambda d, first: put_int(d, 32, 999),
+    "negative-cycle-length": lambda d, first: put_int(d, first, -3),
+    "huge-cycle-length": lambda d, first: put_int(d, first, 2 ** 40),
+    "table-index-out-of-range": lambda d, first: put_int(d, 64, 999),
+    "negative-edge-count": lambda d, first: put_int(d, 24, -1),
+    "trailing-bytes": lambda d, first: d + bytes(8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupt_oracle_input_error(tmp_path, capsys, name):
+    orc = tmp_path / "grid.pco"
+    build_oracle(grid_graph(3, 3)).save(str(orc))
+    data = orc.read_bytes()
+    n_edges = int.from_bytes(data[24:32], "little")
+    first_cycle = 32 + 40 * n_edges + 8
+    orc.write_bytes(CORRUPTIONS[name](data, first_cycle))
+    with pytest.raises(InputError):
+        MinCutOracle.load(str(orc))
+    assert main(["query", str(orc), "0", "1"]) == 2
+    assert "truncated or corrupt" in capsys.readouterr().err
+    proc = run_cli("query", str(orc), "0", "1")
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "truncated or corrupt" in proc.stderr

@@ -6,8 +6,8 @@ import pytest
 
 import planarcut.oracle
 import planarcut.sep_cycle
-from _search_reference import (parallel_zero_graph, removing_disconnects,
-                               tripled_zero_graph)
+from _search_reference import (parallel_zero_graph, region_subpiece_by_home,
+                               removing_disconnects, tripled_zero_graph)
 from planarcut import baseline
 from planarcut.errors import InputError, SameVertex, TooSmall, UnknownVertex
 from planarcut.generators import (grid_graph, random_delaunay_graph,
@@ -16,6 +16,7 @@ from planarcut.generators import (grid_graph, random_delaunay_graph,
 from planarcut.oracle import (HostChain, MinCutOracle, PathMinIndex,
                               build_oracle)
 from planarcut.sep_cycle import FallbackNeeded, min_separating_cycle_safe
+from planarcut.weights import INF_EDGE
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,27 @@ def test_engines_agree_during_build(name, mode, monkeypatch):
                         checked)
     orc = build_oracle(CROSS_CHECK_GRAPHS[name](), mode=mode)
     assert calls[0] == orc.stats["inserts"] > 0
+
+
+def test_region_subpiece_matches_home_rule(monkeypatch):
+    # the subpiece takes the group edges whose faces have different classes
+    # under the region; the rule by home region (lca of the faces) and
+    # bounding cycle it replaced must give the same set on every call
+    rule = planarcut.sep_cycle.region_subpiece
+    calls = Counter()
+
+    def checked(tree, region, group_edges):
+        got = rule(tree, region, group_edges)
+        assert got == region_subpiece_by_home(tree, region, group_edges), \
+            region
+        calls[region == tree.root] += 1
+        return got
+
+    monkeypatch.setattr(planarcut.sep_cycle, "region_subpiece", checked)
+    for name in sorted(CROSS_CHECK_GRAPHS):
+        for mode in ("cut", "mcb"):
+            build_oracle(CROSS_CHECK_GRAPHS[name](), mode=mode)
+    assert calls[True] > 0 and calls[False] > 0, calls
 
 
 def stored_answers(orc) -> tuple:
@@ -310,6 +332,68 @@ def test_host_has_no_one_face_edge(name, dualize):
         # the input itself has bridges
         assert any(g.face_of[2 * e] == g.face_of[2 * e + 1]
                    for e in range(g.m))
+
+
+def classify_infinite_edges(chain, g1, g2, t2, g3, t3) -> tuple:
+    """(spokes, chords of pinched faces, other): the infinite-weight host
+    edges, traced back through the chain's transforms g1 -> g2 (chords)
+    -> g3 (bounding ring) -> host."""
+    spokes, chords, other = [], [], []
+    for e4 in range(chain.host.m):
+        if chain.host.weights[e4] != INF_EDGE:
+            continue
+        d3 = chain.h1_dart_of_host[2 * e4]
+        d2 = t3.dart_origin[d3] if d3 != -1 else -1
+        if d3 != -1 and d2 == -1:
+            # new in the bounding step: a spoke ends at a sky vertex
+            if max(g3.endpoints(d3 >> 1)) >= g2.n:
+                spokes.append(e4)
+                continue
+        elif d2 != -1 and t2.dart_origin[d2] == -1:
+            f1, f2 = (t2.face_cover[g2.face_of[d]] for d in (d2, d2 ^ 1))
+            walk = g1.faces[f1]
+            if (f1 == f2 != g1.infinite_face
+                    and len({g1.head[d] for d in walk}) < len(walk)):
+                chords.append(e4)
+                continue
+        other.append(e4)
+    return spokes, chords, other
+
+
+def test_host_chords_only_pinched_faces(monkeypatch):
+    """Every infinite-weight host edge is a spoke of the bounding ring or
+    a chord of a finite face whose walk visits a vertex twice."""
+    seen = {}
+    real_tri = planarcut.oracle.triangulate
+    real_ring = planarcut.oracle.add_bounding_cycle
+
+    def tri(g1, faces):
+        seen["g1"] = g1
+        seen["g2"], seen["t2"] = real_tri(g1, faces)
+        return seen["g2"], seen["t2"]
+
+    def ring(g2):
+        seen["g3"], seen["t3"] = real_ring(g2)
+        return seen["g3"], seen["t3"]
+
+    monkeypatch.setattr(planarcut.oracle, "triangulate", tri)
+    monkeypatch.setattr(planarcut.oracle, "add_bounding_cycle", ring)
+
+    def delaunay():
+        return random_delaunay_graph(12, seed=0)
+
+    n_chords = 0
+    for name, make in sorted(dict(HOST_INPUTS, delaunay=delaunay).items()):
+        for dualize in (True, False):
+            chain = HostChain(make(), dualize)
+            spokes, chords, other = classify_infinite_edges(chain, **seen)
+            assert spokes and not other, (name, dualize, other)
+            n_chords += len(chords)
+    # the sparse inputs have bridges, so some of their faces are pinched
+    assert n_chords > 0
+    # a triangulation's dual has no pinched face, so no chord; chording
+    # every finite face gave this host 96 edges
+    assert build_oracle(delaunay()).stats["host_edges"] == 54
 
 
 # -- determinism --------------------------------------------------------------

@@ -4,6 +4,8 @@ from itertools import permutations
 
 import pytest
 
+from _search_reference import (edge_home_region, is_boundary_edge,
+                               region_subpiece_by_home, tree_lca)
 from planarcut.errors import (InductionViolated, InternalAssertion,
                               NotSeparating)
 from planarcut.generators import (embedding_from_coordinates, grid_graph,
@@ -46,7 +48,7 @@ def check_boundary_classification(tree):
         if cyc is None:
             continue
         for e in range(g.m):
-            assert tree.is_boundary_edge(e, r) == (e in cyc.edge_ids()), (e, r)
+            assert is_boundary_edge(tree, e, r) == (e in cyc.edge_ids()), (e, r)
 
 
 def check_parity_matches_descendants(tree):
@@ -65,12 +67,12 @@ def test_star_init(tri):
     assert tree.children[tree.root] == {0, 1}
     assert tree.face_child_count[tree.root] == 2
     assert not tree.complete()
-    assert tree.lca(0, 1) == tree.root
+    assert tree_lca(tree, 0, 1) == tree.root
     assert tree.dt.child_toward(tree.root, 1) == 1
     assert tree.dt.child_toward(0, 1) is None
     for e in range(tri.m):
-        assert tree.edge_home_region(e) == tree.root
-        assert not tree.is_boundary_edge(e, tree.root)
+        assert edge_home_region(tree, e) == tree.root
+        assert not is_boundary_edge(tree, e, tree.root)
 
 
 def test_triangle_single_insert(tri):
@@ -83,8 +85,8 @@ def test_triangle_single_insert(tri):
     assert r_in != tree.root
     assert tree.parent(tri.infinite_face) == tree.root
     for e in range(tri.m):
-        assert tree.edge_home_region(e) == tree.root
-        assert tree.is_boundary_edge(e, r_in)
+        assert edge_home_region(tree, e) == tree.root
+        assert is_boundary_edge(tree, e, r_in)
     check_boundary_classification(tree)
     check_parity_matches_descendants(tree)
 
@@ -129,7 +131,7 @@ def test_grid_ring_takes_exterior_branch(grid3):
     # all four squares sit strictly inside the ring region
     for f in squares:
         assert tree.is_descendant(r_ring, f)
-    assert tree.lca(squares[0], g.infinite_face) == tree.root
+    assert tree_lca(tree, squares[0], g.infinite_face) == tree.root
     check_boundary_classification(tree)
     check_parity_matches_descendants(tree)
 
@@ -209,6 +211,8 @@ def test_region_subpiece_runs(grid3):
     everything = set(range(g.m))
     assert region_subpiece(tree, r_ring, everything) == {
         e for e in everything if tree.edge_in_region(e, r_ring)}
+    assert region_subpiece(tree, r_ring, everything) == \
+        region_subpiece_by_home(tree, r_ring, everything)
 
 
 def test_compact_cycle_checks_its_darts():
