@@ -205,39 +205,59 @@ class _Builder:
 
 
 # ---------------------------------------------------------------------------
-# path-minimum index (Kruskal merge tree + Euler tour sparse table)
+# path-minimum index (Kruskal merge tree + range maximum over its in-order)
 
 
 class PathMinIndex:
     """Constant-time minimum-edge queries on tree paths.
 
-    Edges are merged heaviest first, so the merge-tree LCA of two leaves
-    carries exactly the lightest edge on their tree path.
+    The n - 1 edges of a spanning tree merge heaviest first, ties by edge
+    index, so the lca of two leaves in the merge tree is the lightest edge
+    on their tree path.  The merge tree is full binary: its in-order
+    alternates leaves and merge steps, and the lca of two leaves is the
+    latest step between them.  A query is one range maximum over the gaps
+    between leaf slots, read from a sparse table of step numbers.
     """
 
     def __init__(self, n: int, edges):
         # edges: (weight, payload, u, v) with tuple weights
-        self.n = n
-        total = n + len(edges)
-        self.parent = [-1] * total
-        self.label = [None] * total
         order = sorted(range(len(edges)),
                        key=lambda i: tuple(-c for c in edges[i][0]) + (i,))
         root_of = list(range(n))
-        nxt = n
+        size = [1] * n
+        kids = []
+        self.label = []
         for i in order:
             w, payload, u, v = edges[i]
             ru, rv = self._find(root_of, u), self._find(root_of, v)
             if ru == rv:
                 raise InternalAssertion("cycle in path-min edge set")
-            self.parent[ru] = nxt
-            self.parent[rv] = nxt
-            root_of[ru] = nxt
-            root_of[rv] = nxt
-            self.label[nxt] = (w, payload)
-            root_of.append(nxt)
-            nxt += 1
-        self._build_euler(total)
+            node = len(root_of)
+            root_of[ru] = root_of[rv] = node
+            root_of.append(node)
+            size.append(size[ru] + size[rv])
+            kids.append((ru, rv))
+            self.label.append((w, payload))
+        # top down from the last step: a node's leaves take the slots from
+        # its offset on, the left child's first; its gap follows them
+        offset = [0] * len(root_of)
+        gap_step = [0] * len(kids)
+        for step in reversed(range(len(kids))):
+            left, right = kids[step]
+            mid = offset[n + step] + size[left]
+            offset[left] = offset[n + step]
+            offset[right] = mid
+            gap_step[mid - 1] = step
+        # slots and sparse table rows are flat machine-int arrays; boxed
+        # ints cost a detour through scattered heap objects on every probe
+        self.slot = array("i", offset[:n])
+        table = [array("i", gap_step)]
+        half = 1
+        while 2 * half <= len(gap_step):
+            prev = table[-1]
+            table.append(array("i", map(max, prev, prev[half:])))
+            half *= 2
+        self.table = table
 
     @staticmethod
     def _find(root_of, x):
@@ -246,57 +266,16 @@ class PathMinIndex:
             x = root_of[x]
         return x
 
-    def _build_euler(self, total: int) -> None:
-        children: list[list[int]] = [[] for _ in range(total)]
-        roots = []
-        for x in range(total):
-            p = self.parent[x]
-            if p == -1:
-                roots.append(x)
-            else:
-                children[p].append(x)
-        encoded: list[int] = []
-        first = [-1] * total
-        for root in roots:
-            stack = [(root, 0)]
-            while stack:
-                node, d = stack.pop()
-                if first[node] == -1:
-                    first[node] = len(encoded)
-                    for c in reversed(children[node]):
-                        stack.append((node, d))
-                        stack.append((c, d + 1))
-                # depth in the high bits, node in the low: the range
-                # minimum over any tour window is its LCA
-                encoded.append((d << 32) | node)
-        self.first = array("q", first)
-        k = len(encoded)
-        # sparse table rows are flat machine-int arrays; boxed-int rows cost
-        # a detour through scattered heap objects on every probe
-        table = [array("q", encoded)]
-        j = 1
-        while (1 << j) <= k:
-            prev = table[j - 1]
-            half = 1 << (j - 1)
-            row = array("q", (min(prev[i], prev[i + half])
-                              for i in range(k - (1 << j) + 1)))
-            table.append(row)
-            j += 1
-        self.table = table
-
     def query(self, u: int, v: int):
         """(weight, payload) of the minimum edge on the u-v tree path."""
-        a, b = self.first[u], self.first[v]
+        a, b = self.slot[u], self.slot[v]
         if a > b:
             a, b = b, a
-        j = (b - a + 1).bit_length() - 1
+        j = (b - a).bit_length() - 1
         row = self.table[j]
         x = row[a]
-        y = row[b - (1 << j) + 1]
-        node = (x if x <= y else y) & 0xFFFFFFFF
-        if self.label[node] is None:
-            raise InternalAssertion("path-min lca has no edge label")
-        return self.label[node]
+        y = row[b - (1 << j)]
+        return self.label[x if x > y else y]
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +630,8 @@ class MinCutOracle:
     @classmethod
     def load(cls, path: str) -> "MinCutOracle":
         """Read a saved oracle.  Every count, index and dart is checked in
-        one linear pass, so a corrupt or truncated file raises InputError."""
+        one linear pass and every reported cycle is expanded once, so a
+        corrupt or truncated file raises InputError, never a later query."""
         with open(path, "rb") as fh:
             data = fh.read()
         if data[:4] != MAGIC:
@@ -732,11 +712,18 @@ class MinCutOracle:
         if not tables.owner.keys() >= set(tables.d2) - {-1}:
             raise _corrupt("a cycle continues on a dart no cycle stores")
         try:
-            return cls(mode, n_nodes, scale, gh_edges, tables, edge_of_dart,
-                       {})
+            orc = cls(mode, n_nodes, scale, gh_edges, tables, edge_of_dart,
+                      {})
+            # expanding is pure, so once every reported cycle closes on
+            # input edges here, no later report_cut or mcb() can fail
+            for idx in {rec[4] for rec in gh_edges}:
+                orc._expand_to_edges(idx)
         except InternalAssertion as exc:
-            # the path-min index refuses tree edges that close a cycle
+            # tree edges that close a cycle, or a stored cycle that never
+            # closes or runs over added structure
             raise _corrupt(str(exc)) from None
+        orc.last_report_counter = 0
+        return orc
 
 
 def _corrupt(what: str) -> InputError:

@@ -126,6 +126,20 @@ def put_int(data: bytes, offset: int, value: int) -> bytes:
         data[offset + 8:]
 
 
+def orphan_reported_dart(data: bytes, first: int) -> bytes:
+    """Map the first dart of the cycle that tree edge 0 reports to -1, the
+    edge id of added structure; the file closes with the dart count and
+    the edge id of every dart."""
+    idx = int.from_bytes(data[64:72], "little")
+    n_cycles = int.from_bytes(data[first - 8:first], "little")
+    pos = first
+    for c in range(n_cycles):
+        if c == idx:
+            dart = int.from_bytes(data[pos + 48:pos + 56], "little")
+        pos += 48 + 8 * int.from_bytes(data[pos:pos + 8], "little")
+    return put_int(data, pos + 8 + 8 * dart, -1)
+
+
 # A saved 3 x 3 grid cut oracle is: magic and version (8 bytes), n_nodes
 # at 8, scale at 16, the tree edge count at 24, then 40-byte tree edges
 # (u, v, base, eps, table index) from 32, then the cycle count and the
@@ -138,6 +152,9 @@ CORRUPTIONS = {
     "table-index-out-of-range": lambda d, first: put_int(d, 64, 999),
     "negative-edge-count": lambda d, first: put_int(d, 24, -1),
     "trailing-bytes": lambda d, first: d + bytes(8),
+    "reported-dart-added-structure": orphan_reported_dart,
+    # tree edge 1 gets the endpoints of tree edge 0
+    "tree-edges-close-a-cycle": lambda d, first: d[:72] + d[32:48] + d[88:],
 }
 
 

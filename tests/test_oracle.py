@@ -446,35 +446,41 @@ def test_permuted_input_same_mcb_total():
 
 def test_path_min_index_random_trees():
     rng = random.Random(5)
-    for trial in range(20):
-        n = rng.randrange(2, 40)
+    # (shape, n, weights drawn from range(1, top), eps drawn from
+    # range(eps_top)): small random trees, then heavy ties on random, path
+    # and star shapes; n = 2000 gives deep merge trees and 11 table rows
+    cases = [("random", rng.randrange(2, 40), 12, 3) for _ in range(20)]
+    cases += [("random", 300, 3, 1), ("path", 2000, 3, 1),
+              ("star", 2000, 3, 1), ("path", 2000, 12, 3)]
+    for trial, (shape, n, top, eps_top) in enumerate(cases):
         edges = []
         adj = [[] for _ in range(n)]
         for v in range(1, n):
-            u = rng.randrange(v)
-            w = (rng.randrange(1, 12), rng.randrange(3))
-            adj[u].append((v, w))
-            adj[v].append((u, w))
+            u = {"random": rng.randrange(v), "path": v - 1, "star": 0}[shape]
+            w = (rng.randrange(1, top), rng.randrange(eps_top))
+            adj[u].append((v, w, len(edges)))
+            adj[v].append((u, w, len(edges)))
             edges.append((w, len(edges), u, v))
         pmi = PathMinIndex(n, edges)
 
         def naive(s, t):
-            # min edge weight on the unique tree path
+            # lightest edge on the unique tree path, ties to the highest
+            # edge index: the payload report_cut picks its cycle by
             stack = [(s, -1, None)]
             while stack:
                 x, par, best = stack.pop()
                 if x == t:
-                    return best
-                for y, w in adj[x]:
+                    return best[0], -best[1]
+                for y, w, i in adj[x]:
                     if y != par:
                         stack.append(
-                            (y, x, w if best is None or w < best else best))
+                            (y, x, (w, -i) if best is None or (w, -i) < best
+                             else best))
             raise AssertionError("disconnected tree")
 
         for _ in range(60):
             s, t = rng.sample(range(n), 2)
-            (w, _payload) = pmi.query(s, t)
-            assert w == naive(s, t), (trial, s, t)
+            assert pmi.query(s, t) == naive(s, t), (trial, shape, s, t)
 
 
 def test_path_min_index_rejects_cycles():
