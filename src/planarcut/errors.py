@@ -62,20 +62,6 @@ class TooSmall(InputError):
     """Piece is too small to separate (single edge)."""
 
 
-# -- dynamic tree ----------------------------------------------------------
-
-class CycleWouldForm(InputError):
-    """link() would create a cycle."""
-
-
-class AlreadyRoot(InputError):
-    """cut() on a root node."""
-
-
-class DifferentTrees(InputError):
-    """Query endpoints lie in different trees."""
-
-
 # -- region tree / separating cycles ----------------------------------------
 
 class InductionViolated(InternalAssertion):

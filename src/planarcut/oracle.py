@@ -433,23 +433,16 @@ def build_cut_report_tables(tree: RegionTree,
             x = tree.parent(x)
         return x
 
-    # regions ordered deepest first so the counterclockwise probe can
-    # discard darts once they sink into ancestor interiors
+    # deepest first: the order fixes each cycle's table index, which the
+    # oracle file stores
     regions = [r for r in tree.children
                if r != tree.root and tree.cycles.get(r) is not None]
     regions.sort(key=depth.__getitem__, reverse=True)
-    consumed: set[int] = set()
 
     for region in regions:
         darts = _h1_cycle_darts(inside, chain, region, tree.cycles[region])
         owned = [owner_region(d) == region for d in darts]
         tables.add_cycle(region, darts, owned)
-        idx = tables.index_of_region[region]
-        if tables.d1[idx] != -1:
-            probe = _ccw_probe(h1, chain.host, inside, region,
-                               tables.p_darts[idx][-1], consumed)
-            if probe != tables.d2[idx]:
-                raise InternalAssertion("succinct d2 probe disagrees")
 
     root_cycle = tree.cycles.get(tree.root)
     if root_cycle is not None:
@@ -504,29 +497,6 @@ def _h1_cycle_darts(inside, chain: HostChain, region: int,
     if not inside(region, host.face_of[probe ^ 1]):
         darts = [d ^ 1 for d in reversed(darts)]
     return darts
-
-
-def _ccw_probe(h1: PlanarEmbedding, host: PlanarEmbedding, inside,
-               region: int, last_dart: int, consumed: set) -> int:
-    """First dart of the cycle after P(C): scan darts leaving P(C)'s end
-    counterclockwise from the reverse of its last dart, discarding misses
-    for good (they are interior to every ancestor cycle)."""
-    v = h1.head[last_dart]
-    rot = h1.out[v]
-    k = len(rot)
-    start = h1.slot_of[last_dart ^ 1]
-    for step in range(1, k + 1):
-        d = rot[(start - step) % k]
-        if d in consumed:
-            continue
-        # the degree-3 pass keeps the edge ids of the pre-expansion host;
-        # a boundary edge has exactly one face in the region
-        e = d >> 1
-        if inside(region, host.face_of[2 * e]) != inside(
-                region, host.face_of[2 * e + 1]):
-            return d
-        consumed.add(d)
-    raise InternalAssertion("no boundary dart follows P(C)")
 
 
 # ---------------------------------------------------------------------------

@@ -516,22 +516,10 @@ def _subdivide_edge(mut: _Mutable, e: int) -> int:
     mut.dart_origin[nd] = mut.dart_origin[d_forward]
     mut.dart_origin[nd + 1] = mut.dart_origin[d_back]
     # v's slot of the old back dart is taken over by the new back dart
-    prev_d = mut.rot_prev[d_back]
-    if prev_d == d_back:
-        mut.anchor[v] = nd + 1
-        mut.rot_next[nd + 1] = nd + 1
-        mut.rot_prev[nd + 1] = nd + 1
-    else:
-        nxt = mut.rot_next[d_back]
-        mut.rot_next[prev_d] = nd + 1
-        mut.rot_prev[nd + 1] = prev_d
-        mut.rot_next[nd + 1] = nxt
-        mut.rot_prev[nxt] = nd + 1
-        if mut.anchor[v] == d_back:
-            mut.anchor[v] = nd + 1
+    mut._attach(nd + 1, v, d_back)
+    mut._detach(d_back, v)
     # x carries both halves; rotation order is immaterial for degree 2
     mut.head[d_forward] = x
-    mut.anchor[x] = -1
     mut._attach(d_back, x, None)
     mut._attach(nd, x, d_back)
     return e2

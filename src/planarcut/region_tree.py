@@ -11,16 +11,15 @@ dual spanning tree.  Each region keeps its bounding cycle as a
 `CompactCycle`: the cycle's host darts in order, with its weight and edge
 count.
 
-Ancestry queries (child toward a descendant, descendant tests) walk up
-the parent pointers of a `DynamicTree`; the trees stay shallow (see
-`dynamic_tree`).  They drive the edge classification rule: a face's class
-under a region is the child of the region toward it, or None outside, and
-an edge belongs to the region's closed graph exactly when its two faces
-have different classes (see `edge_in_region`).
-
-Nothing relocates while an insertion or a subpiece query runs, so each
-walks once per face, up to the region only, for the face's class.  During
-an insertion the classes met are the members to move.
+Every ancestry question is one upward walk over the parent pointers of
+a `DynamicTree` (`child_toward`); the trees stay shallow (see
+`dynamic_tree`).  A face's class under a region is the child of the region
+toward it, or None outside.  Faces' classes give the region's closed graph
+(see `region_subpiece`), and during an insertion the classes met on the
+smaller side are the members to move; whether a face pair ends up
+separated is read off the same classes.  Nothing relocates while an
+insertion or a subpiece query runs, so each walks once per face, up to the
+region only.
 
 Every edge must have two different faces, and the constructor checks this
 once.  The oracle's host has no bridge: before the degree-3 expansion it
@@ -83,7 +82,6 @@ class RegionTree:
         self._next_region = self.n_faces + 1
         self.dt = DynamicTree()
         self.children: dict[int, set[int]] = {self.root: set()}
-        self.face_child_count: dict[int, int] = {self.root: self.n_faces}
         self.cycles: dict[int, CompactCycle | None] = {}
         self.stats = {"inserts": 0, "relocations": 0}
         if any(g.face_of[2 * e] == g.face_of[2 * e + 1] for e in range(g.m)):
@@ -128,9 +126,6 @@ class RegionTree:
     def parent(self, node: int):
         return self.dt.parent_of(node)
 
-    def is_descendant(self, anc: int, node: int) -> bool:
-        return self.dt.is_descendant(anc, node)
-
     def enclosed_parity(self, face: int, cycle_edges: frozenset) -> bool:
         """True iff `face` is enclosed by the cycle with the given edge set."""
         parity = False
@@ -142,21 +137,9 @@ class RegionTree:
         return parity
 
     def complete(self) -> bool:
-        return all(self.face_child_count[r] == 1 for r in self.children)
-
-    # -- edge usability inside a region ------------------------------------------
-
-    def edge_in_region(self, e: int, region: int) -> bool:
-        """Whether e belongs to the region's closed graph (interior edges,
-        child bounding cycles, or the region's own bounding cycle).
-
-        Each face's class is the child of the region toward it, or None
-        outside.  An edge with one face inside lies on the bounding cycle;
-        one with both inside is interior or on a child's cycle exactly when
-        the region is the lca of its faces.  These are the edges whose two
-        faces have different classes."""
-        return (self.dt.child_toward(region, self.g.face_of[2 * e])
-                != self.dt.child_toward(region, self.g.face_of[2 * e + 1]))
+        """Whether every region holds exactly one face as a child."""
+        parents = {self.parent(f) for f in range(self.n_faces)}
+        return len(parents) == self.n_faces == len(self.children)
 
     # -- insertion ----------------------------------------------------------------
 
@@ -176,37 +159,28 @@ class RegionTree:
             raise NotSeparating("pair does not live under the region")
 
         side_darts = self._side_third_darts(darts)
-        got = self._lockstep_search(classes, edges_c, side_darts)
-        small_side, members, witness_faces = got
-
-        if witness_faces:
-            inside = self.enclosed_parity(witness_faces[0], edges_c)
-        else:
-            # no witnesses can only happen when a side saw no usable edges at
-            # all; classify by a face adjacent to the cycle on that side
-            flank = self._cycle_flank_faces(darts, small_side)
-            if not flank:
-                raise InternalAssertion("cycle side has no adjacent faces")
-            inside = self.enclosed_parity(flank[0], edges_c)
+        small_side, members = self._lockstep_search(classes, edges_c,
+                                                    side_darts)
+        # every face on one side of a simple cycle has the same parity
+        flank = self._cycle_flank_faces(darts, small_side)
+        inside = self.enclosed_parity(flank[0], edges_c)
+        if not members:
+            # the side saw no usable edge: its members are the flank faces'
             members = {classes[x] for x in flank} - {None}
+        if (classes[f] in members) == (classes[gface] in members):
+            raise NotSeparating("cycle does not separate the pair")
 
         # move `members` under a fresh region node
         new_region = self._next_region
         self._next_region += 1
         self.dt.add_node(new_region)
         self.children[new_region] = set()
-        self.face_child_count[new_region] = 0
 
-        moved_faces = 0
         for node in members:
             self.dt.cut(node)
             self.children[region].discard(node)
             self.dt.link(node, new_region)
             self.children[new_region].add(node)
-            if not self.is_region(node):
-                moved_faces += 1
-        self.face_child_count[region] -= moved_faces
-        self.face_child_count[new_region] = moved_faces
         self.stats["relocations"] += len(members)
         self.stats["inserts"] += 1
 
@@ -234,8 +208,6 @@ class RegionTree:
             self.cycles[region] = cycle
             r_in, r_out = region, new_region
 
-        if self.is_descendant(r_in, f) == self.is_descendant(r_in, gface):
-            raise NotSeparating("inserted cycle did not separate the pair")
         if not self.children[r_in] or not self.children[r_out]:
             raise InternalAssertion("cycle insertion emptied a region")
         return r_in, r_out
@@ -273,12 +245,11 @@ class RegionTree:
         return side_a, side_b
 
     def _lockstep_search(self, classes: "_FaceClasses", edges_c: frozenset,
-                         side_darts) -> tuple[int, set, list]:
+                         side_darts) -> tuple[int, set]:
         g = self.g
         face_of = g.face_of
         fronts = [deque(side_darts[0]), deque(side_darts[1])]
         seen: list[set] = [set(), set()]
-        witness: list[list] = [[], []]
         members: list[set] = [set(), set()]
         active = [True, True]
         small = None
@@ -299,13 +270,11 @@ class RegionTree:
                     c1 = classes[f1]
                     c2 = classes[f2]
                     if c1 == c2:
-                        # not in the region (see edge_in_region)
+                        # not in the region (see region_subpiece)
                         continue
                     seen[s].add(e)
-                    for fid, c in ((f1, c1), (f2, c2)):
+                    for c in (c1, c2):
                         if c is not None:
-                            if len(witness[s]) < 4:
-                                witness[s].append(fid)
                             members[s].add(c)
                     for x in g.endpoints(e):
                         fronts[s].extend(g.out[x])
@@ -315,7 +284,7 @@ class RegionTree:
                     active[s] = False
                     small = s
                     break
-        return small, members[small], witness[small]
+        return small, members[small]
 
     def _cycle_flank_faces(self, darts, side: int) -> list[int]:
         """Faces adjacent to the cycle on one side (0: right of darts).
@@ -324,19 +293,8 @@ class RegionTree:
         outgoing dart belongs to the face of its reversal, so the right flank
         of dart d is face_of[d ^ 1].
         """
-        g = self.g
-        out = []
-        for d in darts:
-            fid = g.face_of[d ^ 1] if side == 0 else g.face_of[d]
-            out.append(fid)
-        # dedupe, keep deterministic order
-        seen = set()
-        uniq = []
-        for fid in out:
-            if fid not in seen:
-                seen.add(fid)
-                uniq.append(fid)
-        return uniq
+        face_of = self.g.face_of
+        return [face_of[d ^ 1] if side == 0 else face_of[d] for d in darts]
 
 
 class _FaceClasses(dict):
@@ -425,8 +383,14 @@ def regions_with_unseparated_pair(tree: RegionTree,
 
 def region_subpiece(tree: RegionTree, region: int, group_edges) -> set:
     """Edges of the region subpiece: the group edges in the region's closed
-    graph, those whose two faces have different classes under the region
-    (see `edge_in_region`).  Each face is walked once, up to the region."""
+    graph (interior edges, child bounding cycles and the region's own
+    bounding cycle).
+
+    Each face's class is the child of the region toward it, or None
+    outside.  An edge with one face inside lies on the bounding cycle; one
+    with both inside is interior or on a child's cycle exactly when the
+    region is the lca of its faces.  These are the edges whose two faces
+    have different classes.  Each face is walked once, up to the region."""
     classes = _FaceClasses(tree.dt, region)
     face_of = tree.g.face_of
     return {e for e in group_edges

@@ -305,7 +305,7 @@ def min_separating_cycle_safe(g: PlanarEmbedding, tree: RegionTree,
     region edge.  Independent of the subdivision and distance tables."""
     if stats is None:
         stats = new_stats()
-    edges = {e for e in range(g.m) if tree.edge_in_region(e, region)}
+    edges = region_subpiece(tree, region, range(g.m))
 
     adj = _dart_adjacency(g, edges)
     seeds = _face_seed_vertices(g, face_a, edges)

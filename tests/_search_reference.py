@@ -1,8 +1,8 @@
 """Reference searches shared by the tests: plain dart adjacencies of the
 embedding, a lexicographic search that returns table entries and a cut
 check; graphs with parallel edges and zero weights; and region-tree
-ancestry by parent walks (lca, an edge's home region, the bounding-cycle
-test and the subpiece rule they give)."""
+ancestry by parent walks (descendant tests, lca, an edge's home region,
+the bounding-cycle test and the subpiece rule they give)."""
 
 import random
 
@@ -97,6 +97,17 @@ def tripled_zero_graph(seed=15):
     return build_embedding(g.n, edges, weights, rotations)
 
 
+def tree_is_descendant(tree, ancestor, node):
+    """Whether `node` lies in the subtree of `ancestor` (inclusively), by
+    walking parent pointers up from `node`."""
+    x = node
+    while x is not None:
+        if x == ancestor:
+            return True
+        x = tree.parent(x)
+    return False
+
+
 def tree_lca(tree, a, b):
     """Nearest common ancestor of two region-tree nodes, by parent walks."""
     above = set()
@@ -121,8 +132,8 @@ def is_boundary_edge(tree, e, region):
     """Whether e lies on the region's bounding cycle: the region holds
     exactly one of e's faces."""
     g = tree.g
-    return (tree.is_descendant(region, g.face_of[2 * e])
-            != tree.is_descendant(region, g.face_of[2 * e + 1]))
+    return (tree_is_descendant(tree, region, g.face_of[2 * e])
+            != tree_is_descendant(tree, region, g.face_of[2 * e + 1]))
 
 
 def region_subpiece_by_home(tree, region, group_edges):

@@ -5,7 +5,8 @@ from itertools import permutations
 import pytest
 
 from _search_reference import (edge_home_region, is_boundary_edge,
-                               region_subpiece_by_home, tree_lca)
+                               region_subpiece_by_home, tree_is_descendant,
+                               tree_lca)
 from planarcut.errors import (InductionViolated, InternalAssertion,
                               NotSeparating)
 from planarcut.generators import (embedding_from_coordinates, grid_graph,
@@ -58,14 +59,14 @@ def check_parity_matches_descendants(tree):
             continue
         enclosed = {f for f in range(tree.n_faces)
                     if tree.enclosed_parity(f, cyc.edge_ids())}
-        below = {f for f in range(tree.n_faces) if tree.is_descendant(r, f)}
+        below = {f for f in range(tree.n_faces)
+                 if tree_is_descendant(tree, r, f)}
         assert enclosed == below, r
 
 
 def test_star_init(tri):
     tree = RegionTree(tri)
     assert tree.children[tree.root] == {0, 1}
-    assert tree.face_child_count[tree.root] == 2
     assert not tree.complete()
     assert tree_lca(tree, 0, 1) == tree.root
     assert tree.dt.child_toward(tree.root, 1) == 1
@@ -98,6 +99,7 @@ def test_grid_square_insert_orders(grid3, order):
     squares = finite_faces(g)
     assert len(squares) == 4
     for i in order:
+        assert not tree.complete()
         insert_face_boundary(tree, squares[i])
     assert tree.complete()
     assert tree.parent(g.infinite_face) == tree.root
@@ -130,7 +132,7 @@ def test_grid_ring_takes_exterior_branch(grid3):
     assert tree.cycles[r_ring].edge_ids() == frozenset(ring)
     # all four squares sit strictly inside the ring region
     for f in squares:
-        assert tree.is_descendant(r_ring, f)
+        assert tree_is_descendant(tree, r_ring, f)
     assert tree_lca(tree, squares[0], g.infinite_face) == tree.root
     check_boundary_classification(tree)
     check_parity_matches_descendants(tree)
@@ -209,8 +211,9 @@ def test_region_subpiece_runs(grid3):
     # interior group edges plus the group's part of the bounding cycle
     assert region_subpiece(tree, r_ring, group) == set(cross) | run_edges
     everything = set(range(g.m))
+    ups = face_ancestors(tree)
     assert region_subpiece(tree, r_ring, everything) == {
-        e for e in everything if tree.edge_in_region(e, r_ring)}
+        e for e in everything if reference_edge_in_region(g, ups, e, r_ring)}
     assert region_subpiece(tree, r_ring, everything) == \
         region_subpiece_by_home(tree, r_ring, everything)
 
@@ -262,11 +265,13 @@ def reference_edge_in_region(g, ups, e, region):
 
 
 def check_edge_in_region(tree):
+    """`region_subpiece` over every edge keeps exactly the edges of each
+    region's closed graph."""
     ups = face_ancestors(tree)
+    every = range(tree.g.m)
     for r in tree.children:
-        for e in range(tree.g.m):
-            assert tree.edge_in_region(e, r) == \
-                reference_edge_in_region(tree.g, ups, e, r), (e, r)
+        assert region_subpiece(tree, r, every) == {
+            e for e in every if reference_edge_in_region(tree.g, ups, e, r)}, r
 
 
 def test_edge_in_region_with_a_bridge():
