@@ -5,8 +5,8 @@ Cut mode works on the dual (cycles separating dual faces are cuts of the
 input); mcb mode runs the same machinery on the graph itself and returns
 the minimum cycle basis.  The pipeline is
 
-    input -> [dual] -> subdivide-to-simple -> chord pinched finite faces ->
-    bounding cycle -> degree-3 expansion = host
+    input -> [dual] -> subdivide-to-simple -> bounding cycle ->
+    chord pinched faces -> degree-3 expansion = host
 
 followed by the recursive subdivision, dense distance tables, and the
 level loop that inserts one separating cycle per unseparated face pair,
@@ -15,7 +15,9 @@ tree; a path-minimum index answers weight queries in constant time, and
 cut edge sets are reported through the succinct cycle representation on
 the pre-expansion host so reported work is proportional to cut size.
 
-A pinched face is one whose walk visits a vertex twice.  Only those faces
+A pinched face is one whose walk visits a vertex twice: a finite face at a
+bridge or a cut vertex, or a sky arc (a face that the bounding cycle closes
+off from the old infinite face) that repeats a vertex.  Only those faces
 get (infinite-weight) chords: they are the ones whose degree-3 expansion
 would leave a host edge with the same face on both sides.
 """
@@ -64,16 +66,14 @@ class HostChain:
         self.g0 = g0
         base = dual(g0) if dualize else g0
         g1, t1 = subdivide_to_simple(base)
-        # a finite face whose walk repeats a vertex would leave an edge with
-        # one face on both sides after the degree-3 expansion; chord only those
-        pinched = [f for f, orbit in enumerate(g1.faces)
-                   if f != g1.infinite_face
-                   and len({g1.head[d] for d in orbit}) < len(orbit)]
-        g2, t2 = triangulate(g1, pinched)
-        g3, t3 = add_bounding_cycle(g2)
+        g2, t2 = add_bounding_cycle(g1)
+        # a face whose walk repeats a vertex, finite or a sky arc, would leave
+        # an edge with one face on both sides after the degree-3 expansion;
+        # chord only those
+        pinched = [f for f, orbit in enumerate(g2.faces)
+                   if len({g2.head[d] for d in orbit}) < len(orbit)]
+        g3, t3 = triangulate(g2, pinched)
         g4, t4 = degree_three_transform(g3)
-        g4.meta["bounding_cycle_edges"] = sorted(
-            {d >> 1 for d in g4.faces[g4.infinite_face]})
         self.host = g4
         self.h1 = g3
 
@@ -84,12 +84,14 @@ class HostChain:
                 raise InternalAssertion("degree-3 pass split a face")
             self.host_face_of_h1_face[f3] = f4
 
-        # host face -> input vertex (cut mode) or input face (mcb mode)
-        to_vertex = base.meta.get("face_to_primal_vertex") if dualize else None
+        # host face -> input vertex (cut mode, where each face of the dual
+        # is the rotation around one input vertex) or input face (mcb mode)
+        group_of = ([g0.head[orbit[0]] for orbit in base.faces] if dualize
+                    else range(len(base.faces)))
         groups = []
         for f4 in range(len(g4.faces)):
             f0 = t1.face_cover[t2.face_cover[t3.face_cover[t4.face_cover[f4]]]]
-            groups.append(to_vertex[f0] if dualize else f0)
+            groups.append(group_of[f0])
         self.face_group = groups
         self.group_count = len(set(groups))
 
@@ -435,19 +437,21 @@ def build_cut_report_tables(tree: RegionTree,
 
     # deepest first: the order fixes each cycle's table index, which the
     # oracle file stores
-    regions = [r for r in tree.children
-               if r != tree.root and tree.cycles.get(r) is not None]
+    regions = [r for r in tree.children if r != tree.root]
     regions.sort(key=depth.__getitem__, reverse=True)
 
+    h1_darts = {}
     for region in regions:
-        darts = _h1_cycle_darts(inside, chain, region, tree.cycles[region])
+        darts = h1_darts[region] = _h1_cycle_darts(
+            inside, chain, region, tree.cycles[region].darts())
         owned = [owner_region(d) == region for d in darts]
         tables.add_cycle(region, darts, owned)
 
-    root_cycle = tree.cycles.get(tree.root)
-    if root_cycle is not None:
-        darts = _h1_cycle_darts(inside, chain, tree.root, root_cycle)
-        tables.add_cycle(tree.root, darts, [True] * len(darts))
+    # the root's cycle bounds the infinite face, which lies on its left
+    host = chain.host
+    darts = h1_darts[tree.root] = _h1_cycle_darts(
+        inside, chain, tree.root, host.faces[host.infinite_face])
+    tables.add_cycle(tree.root, darts, [True] * len(darts))
 
     n_cycles = len(tables.p_darts)
     tables.tin = [0] * n_cycles
@@ -464,8 +468,7 @@ def build_cut_report_tables(tree: RegionTree,
 
     for region, idx in tables.index_of_region.items():
         got, _ = tables.expand_index(idx)
-        want = _h1_cycle_darts(inside, chain, region, tree.cycles[region])
-        if not _same_cycle(got, want):
+        if not _same_cycle(got, h1_darts[region]):
             raise InternalAssertion(
                 "stored tables do not reproduce the cycle of region "
                 f"{region}")
@@ -483,13 +486,12 @@ def _same_cycle(a: list[int], b: list[int]) -> bool:
 
 
 def _h1_cycle_darts(inside, chain: HostChain, region: int,
-                    cyc) -> list[int]:
-    """Cycle darts mapped to the pre-expansion host, oriented with the
-    region's interior on the right.  `inside(region, face)` tells whether
-    a host face lies in the region."""
+                    host_darts) -> list[int]:
+    """A cycle's host darts mapped to the pre-expansion host, oriented with
+    the region's interior on the right.  `inside(region, face)` tells
+    whether a host face lies in the region."""
     host = chain.host
     back = chain.h1_dart_of_host
-    host_darts = cyc.darts()
     darts = [back[d] for d in host_darts if back[d] != -1]
     if not darts:
         raise InternalAssertion("cycle vanished in the pre-expansion host")

@@ -26,7 +26,7 @@ class PlanarEmbedding:
 
     __slots__ = ("n", "m", "head", "out", "slot_of", "weights", "scale",
                  "fnext", "face_of", "faces", "infinite_face", "_between",
-                 "dual_of", "meta")
+                 "dual_of")
 
     def __init__(self, n: int, head: list[int], out: list[list[int]],
                  weights: list[int], scale: int = 1,
@@ -38,7 +38,6 @@ class PlanarEmbedding:
         self.weights = weights
         self.scale = scale
         self.dual_of = None
-        self.meta = {}
         self._between = None
 
         if len(head) != 2 * self.m:
@@ -220,20 +219,17 @@ def dual(g: PlanarEmbedding) -> PlanarEmbedding:
     """Dual embedding sharing dart ids with g.
 
     head*(d) = face_of(d); the rotation at a face vertex is the face orbit.
-    Faces of the dual correspond to primal vertices; the correspondence is
-    recorded in result.meta["face_to_primal_vertex"].
+    Faces of the dual correspond to primal vertices: every dart of dual
+    face f has the same primal head, the vertex f stands for, which is
+    checked here.
     """
     head = [g.face_of[d] for d in range(2 * g.m)]
     out = [[d ^ 1 for d in orbit] for orbit in g.faces]
     dg = PlanarEmbedding(len(g.faces), head, out, list(g.weights), g.scale)
     dg.dual_of = g
-    face_to_vertex = {}
-    for f, orbit in enumerate(dg.faces):
-        prim = {g.head[d] for d in orbit}
-        if len(prim) != 1:
+    for orbit in dg.faces:
+        if len({g.head[d] for d in orbit}) != 1:
             raise InternalAssertion("dual face does not collapse to one primal vertex")
-        face_to_vertex[f] = prim.pop()
-    dg.meta["face_to_primal_vertex"] = face_to_vertex
     return dg
 
 
@@ -526,20 +522,18 @@ def _subdivide_edge(mut: _Mutable, e: int) -> int:
 
 
 def triangulate(g: PlanarEmbedding,
-                faces: list[int] | None = None) -> tuple[PlanarEmbedding, TransformTrace]:
-    """Chord faces down to triangles with infinite-weight edges.
+                faces: list[int]) -> tuple[PlanarEmbedding, TransformTrace]:
+    """Chord the listed faces down to triangles with infinite-weight edges.
 
-    By default every face is chorded; pass `faces` to restrict.  The oracle
-    pipeline passes only the finite faces whose walk visits a vertex twice,
-    which would otherwise leave an edge with one face on both sides after
-    the degree-3 expansion; the bounding-cycle step handles the infinite
-    face.  Ear positions whose chord would join a vertex to itself are
-    skipped; a walk of more than three darts with no other position raises
-    InternalAssertion."""
+    The oracle pipeline runs this after the bounding cycle and passes the
+    faces whose walk visits a vertex twice: pinched finite faces and sky
+    arcs that repeat a vertex.  Left alone, they would leave an edge with
+    one face on both sides after the degree-3 expansion.  Ear positions
+    whose chord would join a vertex to itself are skipped; a walk of more
+    than three darts with no other position raises InternalAssertion."""
     mut = _Mutable(g)
-    chosen = g.faces if faces is None else [g.faces[f] for f in faces]
-    for orbit in chosen:
-        walk = list(orbit)
+    for f in faces:
+        walk = list(g.faces[f])
         while len(walk) > 3:
             k = len(walk)
             pos = -1
@@ -601,69 +595,45 @@ def degree_three_transform(g: PlanarEmbedding) -> tuple[PlanarEmbedding, Transfo
 
 
 def add_bounding_cycle(g: PlanarEmbedding) -> tuple[PlanarEmbedding, TransformTrace]:
-    """Enclose the infinite face with a zero-weight triangle ("sky"), fanned to
-    the old infinite walk with infinite-weight spokes so all new faces are
-    triangles.  The new infinite face is the outside of the zero triangle.
-    Any vertex whose degree rose above three afterwards is the caller's
-    concern; the oracle pipeline runs the degree-3 pass after this one."""
+    """Enclose the infinite face with a zero-weight triangle ("sky").
+
+    The old infinite walk splits into three arcs at the first visits of
+    three distinct vertices, spread over the walk.  Sky vertex s[t] takes
+    two infinite-weight spokes, to the start and the end of arc t, so the
+    old infinite face becomes three sky arcs (faces of an arc and two
+    spokes) and three spoke triangles (two spokes and a sky edge).  The new
+    infinite face is the outside of the sky triangle.  A sky arc that
+    repeats a vertex and a vertex whose degree rose above three are the
+    caller's concern; the oracle pipeline runs the chord pass and the
+    degree-3 pass after this one."""
     mut = _Mutable(g)
-    inf_face = g.infinite_face
-    walk = list(g.faces[inf_face])
-    k = len(walk)
-    if k < 3:
-        raise InputError("bounding cycle needs an infinite face of size >= 3")
+    walk = g.faces[g.infinite_face]
+    seen: set[int] = set()
+    firsts = []
+    for i, d in enumerate(walk):
+        if g.head[d] not in seen:
+            seen.add(g.head[d])
+            firsts.append(i)
+    if len(firsts) < 3:
+        raise InputError("bounding cycle needs three vertices on the infinite face")
+    cuts = [firsts[t * len(firsts) // 3] for t in range(3)]
 
     s = [mut.new_vertex(), mut.new_vertex(), mut.new_vertex()]
-    # zero triangle s0-s1-s2; rotations fixed up after spokes are in
-    ring = []
-    for j in range(3):
-        ring.append(mut.add_edge(s[j], s[(j + 1) % 3], 0,
-                                 after_u=None, after_v=None))
-
-    target = [3 * i // k for i in range(k)]
-    # at walk position i the infinite-face corner is the rotation gap
-    # clockwise-after rev(walk[i]); spokes are planted in that gap
-    spokes_at_sky: list[list[int]] = [[], [], []]
-    for i in range(k):
-        a_i = walk[i]
-        w_i = g.head[a_i]
-        t = target[i]
-        e = mut.add_edge(w_i, s[t], INF_EDGE, after_u=a_i ^ 1, after_v=None)
-        spokes_at_sky[t].append(2 * e + 1)
-        t_prev = target[i - 1]
-        if t_prev != t and i > 0:
-            # arc boundary: a second spoke back to the previous sky vertex,
-            # placed between rev(a_i) and the first spoke
-            e2 = mut.add_edge(w_i, s[t_prev], INF_EDGE,
-                              after_u=a_i ^ 1, after_v=None)
-            spokes_at_sky[t_prev].append(2 * e2 + 1)
-    # the wraparound boundary at position 0 belongs at the tail of the last
-    # arc's spoke list so each sky rotation stays in cyclic walk order
-    e2 = mut.add_edge(g.head[walk[0]], s[target[-1]], INF_EDGE,
-                      after_u=walk[0] ^ 1, after_v=None)
-    spokes_at_sky[target[-1]].append(2 * e2 + 1)
-    # order each sky vertex's rotation: [edge to next sky, spokes in reverse
-    # walk order, edge to prev sky] keeps every ring face a triangle
-    for j in range(3):
-        to_next = 2 * ring[j]
-        to_prev = 2 * ring[(j + 2) % 3] + 1
-        seq = [to_next] + list(reversed(spokes_at_sky[j])) + [to_prev]
-        for d in seq:
-            mut._detach(d, s[j])
-        mut.anchor[s[j]] = -1
-        prev = None
-        for d in seq:
-            mut._attach(d, s[j], prev)
-            prev = d
+    ring = [mut.add_edge(s[t], s[(t + 1) % 3], 0, after_u=None, after_v=None)
+            for t in range(3)]
+    for t in range(3):
+        mut.anchor[s[t]] = 2 * ring[t]
+    # split t ends arc t-1 and starts arc t.  Its spokes fill the walk's
+    # corner clockwise-after rev(walk[i]), the one to s[t-1] first; at a sky
+    # vertex the arc-end spoke follows the edge to the next sky vertex and
+    # the arc-start spoke precedes the edge to the previous one
+    for t, i in enumerate(cuts):
+        a = walk[i]
+        w = g.head[a]
+        mut.add_edge(w, s[t], INF_EDGE, after_u=a ^ 1,
+                     after_v=mut.rot_prev[2 * ring[t - 1] + 1])
+        mut.add_edge(w, s[t - 1], INF_EDGE, after_u=a ^ 1,
+                     after_v=2 * ring[t - 1])
     g2, trace = mut.freeze(None)
-    # new infinite face: the orbit outside the zero triangle, i.e. the face of
-    # the ring dart whose orbit has exactly the three sky vertices
-    for f, orbit in enumerate(g2.faces):
-        if len(orbit) == 3 and all(g2.head[d] in s for d in orbit):
-            if all((d >> 1) in ring for d in orbit):
-                g2.infinite_face = f
-                break
-    else:
-        raise InternalAssertion("sky triangle face not found")
-    g2.meta["bounding_cycle_edges"] = list(ring)
+    g2.infinite_face = g2.face_of[2 * ring[0]]
     return g2, trace

@@ -7,9 +7,9 @@ inside and the outside of the new cycle.  The partition is discovered by two
 breadth-first searches seeded on the two sides of the cycle and run in
 lockstep, so only the smaller side's area is traversed and relocated; which
 side is the enclosed one is settled by a crossing-parity walk on a static
-dual spanning tree.  Each region keeps its bounding cycle as a
-`CompactCycle`: the cycle's host darts in order, with its weight and edge
-count.
+dual spanning tree.  Each region but the root keeps its bounding cycle as
+a `CompactCycle`: the cycle's host darts in order, with its weight and edge
+count.  The root's is the boundary of the infinite face.
 
 Every ancestry question is one upward walk over the parent pointers of
 a `DynamicTree` (`child_toward`); the trees stay shallow (see
@@ -23,8 +23,8 @@ region only.
 
 Every edge must have two different faces, and the constructor checks this
 once.  The oracle's host has no bridge: before the degree-3 expansion it
-chords every finite face whose walk repeats a vertex, and the bounding
-cycle fans out the infinite face.
+rings the infinite face with a bounding cycle and then chords every face
+whose walk repeats a vertex.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class RegionTree:
         self._next_region = self.n_faces + 1
         self.dt = DynamicTree()
         self.children: dict[int, set[int]] = {self.root: set()}
-        self.cycles: dict[int, CompactCycle | None] = {}
+        self.cycles: dict[int, CompactCycle] = {}
         self.stats = {"inserts": 0, "relocations": 0}
         if any(g.face_of[2 * e] == g.face_of[2 * e + 1] for e in range(g.m)):
             raise InternalAssertion("an edge has the same face on both sides")
@@ -92,13 +92,6 @@ class RegionTree:
             self.dt.add_node(f)
             self.dt.link(f, self.root)
             self.children[self.root].add(f)
-
-        root_cycle = None
-        ring = g.meta.get("bounding_cycle_edges")
-        if ring:
-            darts = _orient_edge_cycle(g, ring)
-            root_cycle = CompactCycle(g, darts)
-        self.cycles[self.root] = root_cycle
 
         # static dual spanning tree for enclosure parity walks
         par_face = [-2] * self.n_faces
@@ -202,9 +195,10 @@ class RegionTree:
                 self.children[parent].add(new_region)
             self.dt.link(region, new_region)
             self.children[new_region].add(region)
-            self.cycles[new_region] = self.cycles[region]
             if region == self.root:
                 self.root = new_region
+            else:
+                self.cycles[new_region] = self.cycles[region]
             self.cycles[region] = cycle
             r_in, r_out = region, new_region
 
@@ -311,39 +305,6 @@ class _FaceClasses(dict):
     def __missing__(self, face: int):
         c = self[face] = self.dt.child_toward(self.region, face)
         return c
-
-
-def _orient_edge_cycle(g: PlanarEmbedding, edge_ids) -> list[int]:
-    """Chain a set of edges forming a simple cycle into a dart sequence."""
-    edges = list(edge_ids)
-    incident: dict[int, list[int]] = {}
-    for e in edges:
-        u, v = g.endpoints(e)
-        incident.setdefault(u, []).append(e)
-        incident.setdefault(v, []).append(e)
-    if any(len(v) != 2 for v in incident.values()):
-        raise InternalAssertion("edge set is not a simple cycle")
-    e0 = edges[0]
-    darts = [2 * e0]
-    used = {e0}
-    cur = g.head[2 * e0]
-    while len(used) < len(edges):
-        nxt = None
-        for e in incident[cur]:
-            if e not in used:
-                nxt = e
-                break
-        if nxt is None:
-            raise InternalAssertion("edge set is not a simple cycle")
-        d = 2 * nxt if g.tail(2 * nxt) == cur else 2 * nxt + 1
-        if g.tail(d) != cur:
-            raise InternalAssertion("edge set is not a simple cycle")
-        darts.append(d)
-        used.add(nxt)
-        cur = g.head[d]
-    if cur != g.tail(darts[0]):
-        raise InternalAssertion("edge set does not close into a cycle")
-    return darts
 
 
 # -- piece-level helpers -------------------------------------------------------

@@ -1,12 +1,14 @@
 """Reference searches shared by the tests: plain dart adjacencies of the
 embedding, a lexicographic search that returns table entries and a cut
-check; graphs with parallel edges and zero weights; and region-tree
-ancestry by parent walks (descendant tests, lca, an edge's home region,
-the bounding-cycle test and the subpiece rule they give)."""
+check; graphs with parallel edges and zero weights; an edge cycle chained
+into darts; and region-tree ancestry by parent walks (descendant tests,
+lca, an edge's home region, the bounding-cycle test and the subpiece rule
+they give)."""
 
 import random
 
 from planarcut.ddg import entry_from_chain
+from planarcut.errors import InternalAssertion
 from planarcut.generators import grid_graph
 from planarcut.planar_core import build_embedding
 from planarcut.weights import TieBreakWeight, dart_arc, lex_dijkstra
@@ -95,6 +97,39 @@ def tripled_zero_graph(seed=15):
     weights = [TieBreakWeight.of(0) if r.random() < 0.3 else w
                for w in weights]
     return build_embedding(g.n, edges, weights, rotations)
+
+
+def orient_edge_cycle(g, edge_ids) -> list[int]:
+    """Chain a set of edges forming a simple cycle into a dart sequence."""
+    edges = list(edge_ids)
+    incident: dict[int, list[int]] = {}
+    for e in edges:
+        u, v = g.endpoints(e)
+        incident.setdefault(u, []).append(e)
+        incident.setdefault(v, []).append(e)
+    if any(len(v) != 2 for v in incident.values()):
+        raise InternalAssertion("edge set is not a simple cycle")
+    e0 = edges[0]
+    darts = [2 * e0]
+    used = {e0}
+    cur = g.head[2 * e0]
+    while len(used) < len(edges):
+        nxt = None
+        for e in incident[cur]:
+            if e not in used:
+                nxt = e
+                break
+        if nxt is None:
+            raise InternalAssertion("edge set is not a simple cycle")
+        d = 2 * nxt if g.tail(2 * nxt) == cur else 2 * nxt + 1
+        if g.tail(d) != cur:
+            raise InternalAssertion("edge set is not a simple cycle")
+        darts.append(d)
+        used.add(nxt)
+        cur = g.head[d]
+    if cur != g.tail(darts[0]):
+        raise InternalAssertion("edge set does not close into a cycle")
+    return darts
 
 
 def tree_is_descendant(tree, ancestor, node):

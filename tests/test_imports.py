@@ -48,7 +48,7 @@ def test_library_imports_are_used(path):
 # Modules that serve tests and benchmarks, not the library, and public
 # accessors kept on purpose without a library caller.
 CALLER_EXEMPT_FILES = {"baseline.py", "generators.py"}
-KEPT_WITHOUT_CALLER = {"save_graph", "rev", "edge_of", "darts_of",
+KEPT_WITHOUT_CALLER = {"save_graph", "rev", "tail", "edge_of", "darts_of",
                        "edge_weight", "dart_weight", "face_vertices"}
 
 

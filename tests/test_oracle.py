@@ -335,65 +335,73 @@ def test_host_has_no_one_face_edge(name, dualize):
 
 
 def classify_infinite_edges(chain, g1, g2, t2, g3, t3) -> tuple:
-    """(spokes, chords of pinched faces, other): the infinite-weight host
-    edges, traced back through the chain's transforms g1 -> g2 (chords)
-    -> g3 (bounding ring) -> host."""
-    spokes, chords, other = [], [], []
+    """(spokes, chords of pinched finite faces, chords of pinched sky arcs,
+    other): the infinite-weight host edges, traced back through the
+    chain's transforms g1 -> g2 (bounding ring) -> g3 (chords) -> host."""
+    spokes, chords, arc_chords, other = [], [], [], []
     for e4 in range(chain.host.m):
         if chain.host.weights[e4] != INF_EDGE:
             continue
         d3 = chain.h1_dart_of_host[2 * e4]
         d2 = t3.dart_origin[d3] if d3 != -1 else -1
-        if d3 != -1 and d2 == -1:
+        if d2 != -1 and t2.dart_origin[d2] == -1:
             # new in the bounding step: a spoke ends at a sky vertex
-            if max(g3.endpoints(d3 >> 1)) >= g2.n:
+            if max(g2.endpoints(d2 >> 1)) >= g1.n:
                 spokes.append(e4)
                 continue
-        elif d2 != -1 and t2.dart_origin[d2] == -1:
-            f1, f2 = (t2.face_cover[g2.face_of[d]] for d in (d2, d2 ^ 1))
-            walk = g1.faces[f1]
-            if (f1 == f2 != g1.infinite_face
-                    and len({g1.head[d] for d in walk}) < len(walk)):
-                chords.append(e4)
+        elif d3 != -1 and d2 == -1:
+            f2, f2b = (t3.face_cover[g3.face_of[d]] for d in (d3, d3 ^ 1))
+            walk = g2.faces[f2]
+            if f2 == f2b and len({g2.head[d] for d in walk}) < len(walk):
+                if t2.face_cover[f2] == g1.infinite_face:
+                    arc_chords.append(e4)
+                else:
+                    chords.append(e4)
                 continue
         other.append(e4)
-    return spokes, chords, other
+    return spokes, chords, arc_chords, other
 
 
 def test_host_chords_only_pinched_faces(monkeypatch):
     """Every infinite-weight host edge is a spoke of the bounding ring or
-    a chord of a finite face whose walk visits a vertex twice."""
+    a chord of a face whose walk visits a vertex twice: a finite face or
+    an arc of the old infinite walk that the ring closes off."""
     seen = {}
-    real_tri = planarcut.oracle.triangulate
     real_ring = planarcut.oracle.add_bounding_cycle
+    real_tri = planarcut.oracle.triangulate
 
-    def tri(g1, faces):
+    def ring(g1):
         seen["g1"] = g1
-        seen["g2"], seen["t2"] = real_tri(g1, faces)
+        seen["g2"], seen["t2"] = real_ring(g1)
         return seen["g2"], seen["t2"]
 
-    def ring(g2):
-        seen["g3"], seen["t3"] = real_ring(g2)
+    def tri(g2, faces):
+        seen["g3"], seen["t3"] = real_tri(g2, faces)
         return seen["g3"], seen["t3"]
 
-    monkeypatch.setattr(planarcut.oracle, "triangulate", tri)
     monkeypatch.setattr(planarcut.oracle, "add_bounding_cycle", ring)
+    monkeypatch.setattr(planarcut.oracle, "triangulate", tri)
 
     def delaunay():
         return random_delaunay_graph(12, seed=0)
 
-    n_chords = 0
+    n_chords = n_arc_chords = 0
     for name, make in sorted(dict(HOST_INPUTS, delaunay=delaunay).items()):
         for dualize in (True, False):
             chain = HostChain(make(), dualize)
-            spokes, chords, other = classify_infinite_edges(chain, **seen)
-            assert spokes and not other, (name, dualize, other)
+            spokes, chords, arc_chords, other = classify_infinite_edges(
+                chain, **seen)
+            assert len(spokes) == 6 and not other, (name, dualize, other)
             n_chords += len(chords)
-    # the sparse inputs have bridges, so some of their faces are pinched
+            n_arc_chords += len(arc_chords)
+    # the sparse inputs have bridges, so some of their faces are pinched,
+    # and so is some sky arc
     assert n_chords > 0
+    assert n_arc_chords > 0
     # a triangulation's dual has no pinched face, so no chord; chording
-    # every finite face gave this host 96 edges
-    assert build_oracle(delaunay()).stats["host_edges"] == 54
+    # every finite face gave this host 96 edges, and a spoke to every dart
+    # of the old infinite walk 54
+    assert build_oracle(delaunay()).stats["host_edges"] == 48
 
 
 # -- determinism --------------------------------------------------------------

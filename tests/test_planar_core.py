@@ -11,7 +11,7 @@ from planarcut.planar_core import (PlanarEmbedding, add_bounding_cycle,
                                    build_embedding, cut_cycle_duality_check,
                                    degree_three_transform, dual,
                                    subdivide_to_simple, triangulate)
-from planarcut.oracle import build_oracle
+from planarcut.oracle import HostChain, build_oracle
 from planarcut.weights import (BASE_LIMIT, EPS_EDGE, INF_EDGE, TieBreakWeight,
                                unpack)
 
@@ -129,7 +129,7 @@ def test_dual_counts(grid3):
 def test_dual_faces_are_primal_vertices(grid3, theta):
     for g in (grid3, theta):
         dg = dual(g)
-        f2v = dg.meta["face_to_primal_vertex"]
+        f2v = [g.head[orbit[0]] for orbit in dg.faces]
         for d in range(2 * g.m):
             assert f2v[dg.face_of[d]] == g.head[d]
 
@@ -139,7 +139,7 @@ def test_dual_is_involution(grid3):
     ddg = dual(dg)
     assert ddg.n == grid3.n or ddg.n == len(dg.faces)
     # dart d heads the dual face standing for its primal head vertex
-    f2v = dg.meta["face_to_primal_vertex"]
+    f2v = [grid3.head[orbit[0]] for orbit in dg.faces]
     for d in range(2 * grid3.m):
         assert f2v[ddg.head[d]] == grid3.head[d]
 
@@ -221,7 +221,7 @@ def test_subdivide_keeps_infinite_face(grid3):
 # -- triangulate ---------------------------------------------------------------
 
 def test_triangulate_grid(grid3):
-    g2, trace = triangulate(grid3)
+    g2, trace = triangulate(grid3, list(range(len(grid3.faces))))
     assert euler_ok(g2)
     assert all(len(f) == 3 for f in g2.faces)
     added = range(grid3.m, g2.m)
@@ -242,7 +242,7 @@ def test_triangulate_respects_face_restriction(grid3):
 
 
 def test_triangulate_face_cover_is_consistent(grid3):
-    g2, trace = triangulate(grid3)
+    g2, trace = triangulate(grid3, list(range(len(grid3.faces))))
     for f2, orbit in enumerate(g2.faces):
         f1 = trace.face_cover[f2]
         for d in orbit:
@@ -257,7 +257,7 @@ def test_bounding_cycle_on_triangle(tri):
     g2, trace = add_bounding_cycle(tri)
     assert euler_ok(g2)
     assert g2.n == tri.n + 3
-    ring = g2.meta["bounding_cycle_edges"]
+    ring = sorted({d >> 1 for d in g2.faces[g2.infinite_face]})
     assert len(ring) == 3
     assert all(g2.edge_weight(e) == 0 for e in ring)
     assert all(len(f) == 3 for f in g2.faces)
@@ -273,14 +273,44 @@ def test_bounding_cycle_on_triangle(tri):
 def test_bounding_cycle_on_octagon_walk(grid3):
     g2, trace = add_bounding_cycle(grid3)
     assert euler_ok(g2)
-    # old finite faces untouched, the former outer walk is ringed by triangles
-    k = 8
-    assert g2.m == grid3.m + 3 + k + 3
+    # old finite faces untouched; three sky edges and two spokes per split
+    assert g2.m == grid3.m + 3 + 6
     ring_faces = [f for f in range(len(g2.faces))
                   if trace.face_cover[f] == grid3.infinite_face
                   and f != g2.infinite_face]
-    assert all(len(g2.faces[f]) == 3 for f in ring_faces)
-    assert len(ring_faces) == k + 3
+    # splits at walk positions 0, 2 and 5 of 8: arcs of 2, 3 and 3 edges
+    # closed by two spokes each, and one spoke triangle per split
+    assert sorted(len(g2.faces[f]) for f in ring_faces) == [3, 3, 3, 4, 5, 5]
+
+
+def star_graph():
+    return build_embedding(5, [(0, 1), (0, 2), (0, 3), (0, 4)],
+                           [W.of(1)] * 4, [[0, 1, 2, 3], [0], [1], [2], [3]])
+
+
+def path_graph():
+    return build_embedding(5, [(0, 1), (1, 2), (2, 3), (3, 4)],
+                           [W.of(1)] * 4, [[0], [0, 1], [1, 2], [2, 3], [3]])
+
+
+@pytest.mark.parametrize("make", [star_graph, path_graph],
+                         ids=["star", "path"])
+def test_bounding_cycle_on_walk_that_repeats_a_vertex(make):
+    g = make()
+    walk = g.faces[g.infinite_face]
+    assert len({g.head[d] for d in walk}) < len(walk)
+    g2, _ = add_bounding_cycle(g)
+    assert euler_ok(g2)
+    assert g2.m == g.m + 3 + 6
+    spokes = [e for e in range(g.m, g2.m) if g2.edge_weight(e) == INF_EDGE]
+    assert len(spokes) == 6
+    assert len({min(g2.endpoints(e)) for e in spokes}) == 3
+    # the chord pass takes the pinched sky arcs: no edge is left with one
+    # face on both sides
+    for dualize in (True, False):
+        host = HostChain(g, dualize).host
+        assert all(host.face_of[2 * e] != host.face_of[2 * e + 1]
+                   for e in range(host.m))
 
 
 def test_bounding_cycle_needs_room():
@@ -350,9 +380,9 @@ def test_full_chain_on_dual_grid():
     g0 = dual(grid_graph(3, 3, rng=random.Random(5)))
     g1, t1 = subdivide_to_simple(g0)
     assert is_simple(g1)
-    finite = [f for f in range(len(g1.faces)) if f != g1.infinite_face]
-    g2, t2 = triangulate(g1, faces=finite)
-    g3, t3 = add_bounding_cycle(g2)
+    g2, t2 = add_bounding_cycle(g1)
+    finite = [f for f in range(len(g2.faces)) if f != g2.infinite_face]
+    g3, t3 = triangulate(g2, faces=finite)
     assert all(len(f) == 3 for f in g3.faces)
     g4, t4 = degree_three_transform(g3)
     assert max(len(r) for r in g4.out) <= 3
@@ -365,9 +395,9 @@ def test_full_chain_on_random_subgraph():
     g0 = dual(random_grid_subgraph(4, 4, seed=2, keep=0.7))
     g1, _ = subdivide_to_simple(g0)
     assert is_simple(g1)
-    finite = [f for f in range(len(g1.faces)) if f != g1.infinite_face]
-    g2, _ = triangulate(g1, faces=finite)
-    g3, _ = add_bounding_cycle(g2)
+    g2, _ = add_bounding_cycle(g1)
+    finite = [f for f in range(len(g2.faces)) if f != g2.infinite_face]
+    g3, _ = triangulate(g2, faces=finite)
     assert all(len(f) == 3 for f in g3.faces)
     g4, _ = degree_three_transform(g3)
     assert max(len(r) for r in g4.out) <= 3

@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from _search_reference import (edge_home_region, is_boundary_edge,
+                               orient_edge_cycle,
                                region_subpiece_by_home, tree_is_descendant,
                                tree_lca)
 from planarcut.errors import (InductionViolated, InternalAssertion,
@@ -33,13 +34,8 @@ def face_sibling(tree, f):
 
 def insert_face_boundary(tree, fid):
     g = tree.g
-    cyc = CompactCycle(g, orient(g, face_edges(g, fid)))
+    cyc = CompactCycle(g, orient_edge_cycle(g, face_edges(g, fid)))
     tree.insert_cycle(cyc, tree.parent(fid), (fid, face_sibling(tree, fid)))
-
-
-def orient(g, edge_ids):
-    from planarcut.region_tree import _orient_edge_cycle
-    return _orient_edge_cycle(g, edge_ids)
 
 
 def check_boundary_classification(tree):
@@ -118,7 +114,7 @@ def test_grid_ring_takes_exterior_branch(grid3):
 
     insert_face_boundary(tree, squares[0])
     old_root = tree.root
-    cyc = CompactCycle(g, orient(g, ring))
+    cyc = CompactCycle(g, orient_edge_cycle(g, ring))
     tree.insert_cycle(cyc, tree.root, (squares[1], g.infinite_face))
     assert tree.root != old_root, "outer-side relocation must rebuild the root"
     insert_face_boundary(tree, squares[1])
@@ -187,7 +183,7 @@ def test_not_separating_rejected(grid3):
     g = grid3
     tree = RegionTree(g)
     squares = finite_faces(g)
-    cyc = CompactCycle(g, orient(g, face_edges(g, squares[0])))
+    cyc = CompactCycle(g, orient_edge_cycle(g, face_edges(g, squares[0])))
     with pytest.raises(NotSeparating):
         tree.insert_cycle(cyc, tree.root, (squares[1], squares[2]))
 
@@ -198,7 +194,7 @@ def test_region_subpiece_runs(grid3):
     squares = finite_faces(g)
     ring = sorted({d >> 1 for d in g.faces[g.infinite_face]})
     insert_face_boundary(tree, squares[0])
-    cyc = CompactCycle(g, orient(g, ring))
+    cyc = CompactCycle(g, orient_edge_cycle(g, ring))
     tree.insert_cycle(cyc, tree.root, (squares[1], g.infinite_face))
     r_ring = tree.parent(squares[1])
     assert tree.cycles[r_ring].edge_ids() == frozenset(ring)
@@ -220,7 +216,7 @@ def test_region_subpiece_runs(grid3):
 
 def test_compact_cycle_checks_its_darts():
     g = grid_graph(3, 3, rng=random.Random(4))
-    darts = orient(g, face_edges(g, finite_faces(g)[0]))
+    darts = orient_edge_cycle(g, face_edges(g, finite_faces(g)[0]))
     cyc = CompactCycle(g, darts)
     assert cyc.darts() == tuple(darts)
     assert cyc.nedges == len(cyc) == len(darts)
