@@ -7,6 +7,23 @@ are assembled bottom-up by running the lexicographic Dijkstra over the
 children's tables; external tables run top-down over the parent's external
 table plus the sibling internal tables.
 
+Only big pieces, those with more than `R` edges and the root, get their
+tables up front (`build_ddgs`); they are most of the search work and few of
+the pieces.  A small piece of at most `R` edges gets its tables on first use
+(`DDGSet.int_table`, `DDGSet.ext_table`), and only the level loop's fast
+engine asks for them.  Wherever a small piece would enter a search as its
+internal table it enters as its real darts instead, one adjacency row per
+dart, so parallel edges stay apart.  A small piece's internal table is a
+search over its own darts.  Its external table is a search over the real
+darts of A minus the piece plus the external table of A, where A is its
+nearest ancestor that already has an external table.  That search is exact:
+a canonical path outside the piece, split at the boundary vertices of A it
+passes, is a chain of real darts of A and of direct entries of A's external
+table; and an interior vertex of such an entry is touched only by edges
+outside A, so it is never a boundary vertex of the piece (every one of
+those is touched by a piece edge).  Every table therefore holds the same
+paths whichever way it was built.
+
 A table entry is an `Arc` (see `weights`): a real dart at the leaves, above
 them the tuple of the entries its search chain took.  It remembers its
 weight, real edge count, end darts and smallest interior vertex, and it can
@@ -34,8 +51,12 @@ arc's own entry.  Other chains get no entry.
 from __future__ import annotations
 
 from .errors import InternalAssertion
-from .subdivision import Subdivision
-from .weights import Arc, PathChain, dart_arc, lex_dijkstra
+from .subdivision import Piece, Subdivision
+from .weights import Arc, PathChain, dart_adjacency, lex_dijkstra
+
+# pieces of at most R edges (the root aside) get their tables on first use;
+# 8 to 32 built equally fast, and 24 did the least table work (CHANGES.md)
+R = 24
 
 
 def entry_from_chain(chain: PathChain, boundary) -> Arc | None:
@@ -67,10 +88,11 @@ def entry_from_chain(chain: PathChain, boundary) -> Arc | None:
 Table = dict  # (src, dst) -> Arc, src != dst, directed
 
 
-def table_adjacency(tables) -> dict:
+def table_adjacency(tables, adj: dict | None = None) -> dict:
     """Search arcs over entry tables as a node -> [(head, Arc)] map, in
-    deterministic order."""
-    adj: dict = {}
+    deterministic order, appended to `adj` when given."""
+    if adj is None:
+        adj = {}
     for table in tables:
         for (a, b), entry in table.items():
             adj.setdefault(a, []).append((b, entry))
@@ -99,54 +121,89 @@ def _all_pairs(adj: dict, boundary) -> Table:
     return table
 
 
+def _is_small(piece: Piece) -> bool:
+    return piece.parent >= 0 and len(piece.edges) <= R
+
+
 class DDGSet:
-    __slots__ = ("sd", "int_tables", "ext_tables", "stats")
+    """The internal and external table of every piece, read through
+    `int_table` and `ext_table`.  A small piece's tables are built by the
+    first call that asks for them and kept."""
+
+    __slots__ = ("sd", "_int", "_ext", "stats")
 
     def __init__(self, sd: Subdivision):
         self.sd = sd
-        self.int_tables: list[Table | None] = [None] * len(sd.pieces)
-        self.ext_tables: list[Table | None] = [None] * len(sd.pieces)
-        self.stats = {"int_entries": 0, "ext_entries": 0, "dijkstra_sources": 0}
+        self._int: list[Table | None] = [None] * len(sd.pieces)
+        self._ext: list[Table | None] = [None] * len(sd.pieces)
+        self.stats = {"int_entries": 0, "ext_entries": 0,
+                      "dijkstra_sources": 0, "first_use_tables": 0}
+
+    def int_table(self, pid: int) -> Table:
+        table = self._int[pid]
+        if table is None:
+            piece = self.sd.pieces[pid]
+            adj = dart_adjacency(self.sd.g, piece.edges)
+            table = self._int[pid] = self._tabulate(adj, piece, "int_entries")
+            self.stats["first_use_tables"] += 1
+        return table
+
+    def ext_table(self, pid: int) -> Table:
+        table = self._ext[pid]
+        if table is None:
+            pieces = self.sd.pieces
+            piece = pieces[pid]
+            a = pieces[piece.parent]
+            while self._ext[a.id] is None:
+                a = pieces[a.parent]
+            inside = set(piece.edges)
+            adj = table_adjacency([self._ext[a.id]])
+            dart_adjacency(self.sd.g, [e for e in a.edges if e not in inside],
+                           adj)
+            table = self._ext[pid] = self._tabulate(adj, piece, "ext_entries")
+            self.stats["first_use_tables"] += 1
+        return table
+
+    def _tabulate(self, adj: dict, piece: Piece, kind: str) -> Table:
+        table = _all_pairs(adj, piece.boundary)
+        self.stats["dijkstra_sources"] += len(piece.boundary)
+        self.stats[kind] += len(table)
+        return table
+
+    def _piece_arcs(self, pids, adj: dict) -> dict:
+        """Append to `adj` the search arcs of pieces `pids`: a big piece's
+        internal table entries, a small piece's real darts."""
+        pieces = self.sd.pieces
+        for c in pids:
+            if _is_small(pieces[c]):
+                dart_adjacency(self.sd.g, pieces[c].edges, adj)
+            else:
+                table_adjacency([self._int[c]], adj)
+        return adj
 
 
 def build_ddgs(sd: Subdivision) -> DDGSet:
+    """Tables of every big piece: internal ones bottom-up, external ones
+    top-down.  A big piece's parent is big too, so its external table is
+    always there when a child needs it."""
     ddg = DDGSet(sd)
-    g = sd.g
     levels = sd.levels()
 
     for level in reversed(levels):
         for pid in level:
             piece = sd.pieces[pid]
-            if piece.is_leaf:
-                table: Table = {}
-                if piece.edges:
-                    e = piece.edges[0]
-                    u, v = g.endpoints(e)
-                    bset = set(piece.boundary)
-                    if u != v and u in bset and v in bset:
-                        table[(u, v)] = dart_arc(g, 2 * e)
-                        table[(v, u)] = dart_arc(g, 2 * e + 1)
-                ddg.int_tables[pid] = table
-            else:
-                children = [ddg.int_tables[c] for c in piece.children]
-                adj = table_adjacency(children)
-                ddg.int_tables[pid] = _all_pairs(adj, piece.boundary)
-                ddg.stats["dijkstra_sources"] += len(piece.boundary)
-            ddg.stats["int_entries"] += len(ddg.int_tables[pid])
+            if not _is_small(piece):
+                adj = ddg._piece_arcs(piece.children, {})
+                ddg._int[pid] = ddg._tabulate(adj, piece, "int_entries")
 
     for level in levels:
         for pid in level:
             piece = sd.pieces[pid]
             if piece.parent < 0:
-                ddg.ext_tables[pid] = {}
-                continue
-            parent = sd.pieces[piece.parent]
-            around = [ddg.ext_tables[parent.id]]
-            for sib in parent.children:
-                if sib != pid:
-                    around.append(ddg.int_tables[sib])
-            adj = table_adjacency(around)
-            ddg.ext_tables[pid] = _all_pairs(adj, piece.boundary)
-            ddg.stats["dijkstra_sources"] += len(piece.boundary)
-            ddg.stats["ext_entries"] += len(ddg.ext_tables[pid])
+                ddg._ext[pid] = {}
+            elif not _is_small(piece):
+                parent = sd.pieces[piece.parent]
+                adj = table_adjacency([ddg._ext[parent.id]])
+                ddg._piece_arcs([c for c in parent.children if c != pid], adj)
+                ddg._ext[pid] = ddg._tabulate(adj, piece, "ext_entries")
     return ddg

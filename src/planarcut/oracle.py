@@ -168,11 +168,9 @@ class _Builder:
             groups = nxt
 
     def _separate_all(self, pid, side_a, side_b, sibling_ids) -> None:
-        group = set(side_a) | set(side_b)
+        # the fast engine's context reads the piece's tables, so it is built
+        # by the first engine call; most merge steps make none
         ctx = None
-        if not self.safe_cycles:
-            ctx = PieceContext(self.g, self.tree, self.sd, self.ddgs, pid,
-                               group, sibling_ids)
         while True:
             found = regions_with_unseparated_pair(self.tree,
                                                   (side_a, side_b))
@@ -185,6 +183,10 @@ class _Builder:
                 if (self.tree.parent(fa) != region
                         or self.tree.parent(fb) != region):
                     continue
+                if ctx is None and not self.safe_cycles:
+                    ctx = PieceContext(self.g, self.tree, self.sd, self.ddgs,
+                                       pid, set(side_a) | set(side_b),
+                                       sibling_ids)
                 cyc = self._cycle(ctx, region, fa, fb)
                 self.tree.insert_cycle(cyc, region, (fa, fb))
                 if self.insert_hook is not None:

@@ -19,10 +19,12 @@ Both return the same cycle in canonical dart form.
 
 from __future__ import annotations
 
+from .ddg import table_adjacency
 from .errors import InternalAssertion, NoPath
 from .planar_core import PlanarEmbedding
 from .region_tree import CompactCycle, RegionTree, region_subpiece
-from .weights import PathChain, compare_chains, dart_arc, lex_dijkstra
+from .weights import (PathChain, compare_chains, dart_adjacency, dart_arc,
+                      lex_dijkstra)
 
 
 class FallbackNeeded(Exception):
@@ -264,16 +266,6 @@ def _crossing_sweep(universe: CutUniverse, xverts,
 # shared path search helpers
 
 
-def _dart_adjacency(g: PlanarEmbedding, edges) -> dict:
-    """Plain-vertex adjacency over both darts of each edge, in edge order."""
-    adj: dict = {}
-    for e in sorted(edges):
-        for d in (2 * e, 2 * e + 1):
-            adj.setdefault(g.head[d ^ 1], []).append((g.head[d],
-                                                      dart_arc(g, d)))
-    return adj
-
-
 def _face_seed_vertices(g: PlanarEmbedding, face: int, edges) -> list:
     seeds = set()
     for d in g.faces[face]:
@@ -307,7 +299,7 @@ def min_separating_cycle_safe(g: PlanarEmbedding, tree: RegionTree,
         stats = new_stats()
     edges = region_subpiece(tree, region, range(g.m))
 
-    adj = _dart_adjacency(g, edges)
+    adj = dart_adjacency(g, edges)
     seeds = _face_seed_vertices(g, face_a, edges)
     targets = _face_seed_vertices(g, face_b, edges)
     if not seeds or not targets:
@@ -351,8 +343,8 @@ class PieceContext:
         self.sibling_ids = list(sibling_ids)
         self.sib_edges = [frozenset(sd.pieces[c].edges)
                           for c in self.sibling_ids]
-        self.sib_tables = [ddgs.int_tables[c] for c in self.sibling_ids]
-        self.ext_table = ddgs.ext_tables[piece_id]
+        self.sib_tables = [ddgs.int_table(c) for c in self.sibling_ids]
+        self.ext_table = ddgs.ext_table(piece_id)
         self.edge_sibling = {}
         for i, edges in enumerate(self.sib_edges):
             for e in edges:
@@ -387,11 +379,8 @@ def _arc_touches_cut(entry, xcut: XCut, exact: bool) -> bool:
 def _group_path_adjacency(ctx: PieceContext, real_edges) -> dict:
     """Plain-vertex adjacency for the X search: the group's real darts plus
     compact arcs over the sibling interiors and the piece exterior."""
-    adj = _dart_adjacency(ctx.g, real_edges)
-    for table in list(ctx.sib_tables) + [ctx.ext_table]:
-        for entry in table.values():
-            adj.setdefault(entry.src, []).append((entry.dst, entry))
-    return adj
+    return table_adjacency(ctx.sib_tables + [ctx.ext_table],
+                           dart_adjacency(ctx.g, real_edges))
 
 
 def min_separating_cycle_fast(ctx: PieceContext, region: int,

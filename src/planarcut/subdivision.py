@@ -435,7 +435,10 @@ def _fallback_split(sd: Subdivision, piece: Piece) -> list[set[int]]:
     groups = []
     for part in (first, second):
         groups.extend(_connected_edge_groups(g, part))
-    assert all(len(p) < len(piece.edges) for p in groups)
+    # a group holding the whole piece would requeue it forever
+    if any(len(p) >= len(piece.edges) for p in groups):
+        raise InternalAssertion(f"fallback split of piece {piece.id} "
+                                "made no progress")
     return groups
 
 

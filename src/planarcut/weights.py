@@ -132,6 +132,19 @@ def dart_arc(g, d: int) -> Arc:
                d, d, None)
 
 
+def dart_adjacency(g, edges, adj: dict | None = None) -> dict:
+    """Plain-vertex search arcs over both darts of each edge, in edge
+    order, appended to `adj` when given.  One row per dart, so parallel
+    edges stay apart."""
+    if adj is None:
+        adj = {}
+    for e in sorted(edges):
+        for d in (2 * e, 2 * e + 1):
+            adj.setdefault(g.head[d ^ 1], []).append((g.head[d],
+                                                      dart_arc(g, d)))
+    return adj
+
+
 class PathChain:
     """Immutable linked-list node describing a root-to-node search path:
     the search node, the chain it extends and the arc taken to get here."""

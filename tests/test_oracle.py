@@ -207,6 +207,16 @@ def test_safe_cycles_same_weights(grid3, theta):
             assert fast.query_weight(s, t) == safe.query_weight(s, t)
 
 
+def test_safe_cycles_build_no_first_use_table():
+    # only the fast engine reads a small piece's tables
+    g = random_delaunay_graph(12, seed=0)
+    stats = {}
+    for safe in (False, True):
+        build_oracle(g, safe_cycles=safe, observer=lambda b: stats.update(
+            {safe: b.ddgs.stats["first_use_tables"]}))
+    assert stats[True] == 0 < stats[False]
+
+
 # -- cut reporting ------------------------------------------------------------
 
 def check_cut_reports(g, orc):

@@ -2,6 +2,8 @@ import math
 
 import pytest
 
+from planarcut import subdivision
+from planarcut.errors import InternalAssertion
 from planarcut.generators import (grid_graph, random_delaunay_graph,
                                   random_grid_subgraph, triangle_graph)
 from planarcut.planar_core import is_simple_cycle
@@ -76,6 +78,16 @@ def test_triangle_subdivision():
     check_invariants(sd)
     # 3 edges cannot be cycle-separated, the fallback must have run
     assert sd.stats["fallback_splits"] >= 1
+
+
+def test_fallback_split_without_progress_raises(monkeypatch):
+    # a fallback split whose group is the whole piece would requeue it
+    # forever; it must raise, also under `python -O`
+    g = triangle_graph(1, 2, 3)
+    monkeypatch.setattr(subdivision, "_connected_edge_groups",
+                        lambda g, edges: [set(range(g.m))])
+    with pytest.raises(InternalAssertion, match="no progress"):
+        recursive_subdivide(g)
 
 
 def test_path_graph_tree_fallback():
