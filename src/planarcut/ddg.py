@@ -51,12 +51,8 @@ arc's own entry.  Other chains get no entry.
 from __future__ import annotations
 
 from .errors import InternalAssertion
-from .subdivision import Piece, Subdivision
-from .weights import Arc, PathChain, dart_adjacency, lex_dijkstra
-
-# pieces of at most R edges (the root aside) get their tables on first use;
-# 8 to 32 built equally fast, and 24 did the least table work (CHANGES.md)
-R = 24
+from .subdivision import R, Piece, Subdivision
+from .weights import Arc, PathChain, dart_adjacency, dart_arcs, lex_dijkstra
 
 
 def entry_from_chain(chain: PathChain, boundary) -> Arc | None:
@@ -128,14 +124,18 @@ def _is_small(piece: Piece) -> bool:
 class DDGSet:
     """The internal and external table of every piece, read through
     `int_table` and `ext_table`.  A small piece's tables are built by the
-    first call that asks for them and kept."""
+    first call that asks for them and kept.  `arcs` holds the arc of every
+    host dart, shared by every search over real darts."""
 
-    __slots__ = ("sd", "_int", "_ext", "stats")
+    __slots__ = ("sd", "arcs", "_int", "_ext", "_ext_adj", "stats")
 
     def __init__(self, sd: Subdivision):
         self.sd = sd
+        self.arcs = dart_arcs(sd.g)
         self._int: list[Table | None] = [None] * len(sd.pieces)
         self._ext: list[Table | None] = [None] * len(sd.pieces)
+        # ancestor id -> search graph of its external table plus its darts
+        self._ext_adj: dict[int, dict] = {}
         self.stats = {"int_entries": 0, "ext_entries": 0,
                       "dijkstra_sources": 0, "first_use_tables": 0}
 
@@ -143,7 +143,7 @@ class DDGSet:
         table = self._int[pid]
         if table is None:
             piece = self.sd.pieces[pid]
-            adj = dart_adjacency(self.sd.g, piece.edges)
+            adj = dart_adjacency(self.arcs, piece.edges)
             table = self._int[pid] = self._tabulate(adj, piece, "int_entries")
             self.stats["first_use_tables"] += 1
         return table
@@ -156,10 +156,17 @@ class DDGSet:
             a = pieces[piece.parent]
             while self._ext[a.id] is None:
                 a = pieces[a.parent]
+            base = self._ext_adj.get(a.id)
+            if base is None:
+                base = self._ext_adj[a.id] = dart_adjacency(
+                    self.arcs, a.edges, table_adjacency([self._ext[a.id]]))
+            # the piece's darts leave its own vertices; an entry of ext(A)
+            # starts on an edge outside A, so it stays
             inside = set(piece.edges)
-            adj = table_adjacency([self._ext[a.id]])
-            dart_adjacency(self.sd.g, [e for e in a.edges if e not in inside],
-                           adj)
+            adj = dict(base)
+            for v in piece.vertices:
+                adj[v] = [(h, arc) for h, arc in base[v]
+                          if (arc.first_dart >> 1) not in inside]
             table = self._ext[pid] = self._tabulate(adj, piece, "ext_entries")
             self.stats["first_use_tables"] += 1
         return table
@@ -176,7 +183,7 @@ class DDGSet:
         pieces = self.sd.pieces
         for c in pids:
             if _is_small(pieces[c]):
-                dart_adjacency(self.sd.g, pieces[c].edges, adj)
+                dart_adjacency(self.arcs, pieces[c].edges, adj)
             else:
                 table_adjacency([self._int[c]], adj)
         return adj

@@ -23,7 +23,7 @@ from .ddg import table_adjacency
 from .errors import InternalAssertion, NoPath
 from .planar_core import PlanarEmbedding
 from .region_tree import CompactCycle, RegionTree, region_subpiece
-from .weights import (PathChain, compare_chains, dart_adjacency, dart_arc,
+from .weights import (PathChain, compare_chains, dart_adjacency, dart_arcs,
                       lex_dijkstra)
 
 
@@ -136,12 +136,14 @@ class CutUniverse:
     here as it is.
     """
 
-    __slots__ = ("g", "xcut", "real", "arcs", "_adj")
+    __slots__ = ("g", "xcut", "real", "dart_arcs", "arcs", "_adj")
 
-    def __init__(self, g: PlanarEmbedding, xcut: XCut, real_edges):
+    def __init__(self, g: PlanarEmbedding, xcut: XCut, real_edges,
+                 dart_arcs: list):
         self.g = g
         self.xcut = xcut
         self.real = set(real_edges)
+        self.dart_arcs = dart_arcs
         self.arcs = {}
         self._adj = {}
 
@@ -188,11 +190,11 @@ class CutUniverse:
                 # an edge of the cut path survives once per side
                 if side is None:
                     raise InternalAssertion("plain node incident to cut path")
-                rows.append(((w, side), dart_arc(g, d)))
+                rows.append(((w, side), self.dart_arcs[d]))
                 continue
             if side is not None and x.side_of(v, d) != side:
                 continue
-            rows.append((_cut_node(x, w, d ^ 1), dart_arc(g, d)))
+            rows.append((_cut_node(x, w, d ^ 1), self.dart_arcs[d]))
         rows.extend(self.arcs.get(node, ()))
         return rows
 
@@ -299,7 +301,8 @@ def min_separating_cycle_safe(g: PlanarEmbedding, tree: RegionTree,
         stats = new_stats()
     edges = region_subpiece(tree, region, range(g.m))
 
-    adj = dart_adjacency(g, edges)
+    arcs = dart_arcs(g)
+    adj = dart_adjacency(arcs, edges)
     seeds = _face_seed_vertices(g, face_a, edges)
     targets = _face_seed_vertices(g, face_b, edges)
     if not seeds or not targets:
@@ -312,7 +315,7 @@ def min_separating_cycle_safe(g: PlanarEmbedding, tree: RegionTree,
         raise NoPath(f"faces {face_a} and {face_b} not connected in region")
 
     xcut = XCut(g, chain.darts(), chain.nodes()[0], face_a, face_b)
-    universe = CutUniverse(g, xcut, edges)
+    universe = CutUniverse(g, xcut, edges, arcs)
     best = _crossing_sweep(universe, xcut.order, stats)
     if best is None:
         raise NoPath(f"no cycle separates faces {face_a} and {face_b}")
@@ -339,6 +342,7 @@ class PieceContext:
         self.g = g
         self.tree = tree
         self.piece_id = piece_id
+        self.arcs = ddgs.arcs
         self.group_edges = frozenset(group_edges)
         self.sibling_ids = list(sibling_ids)
         self.sib_edges = [frozenset(sd.pieces[c].edges)
@@ -380,7 +384,7 @@ def _group_path_adjacency(ctx: PieceContext, real_edges) -> dict:
     """Plain-vertex adjacency for the X search: the group's real darts plus
     compact arcs over the sibling interiors and the piece exterior."""
     return table_adjacency(ctx.sib_tables + [ctx.ext_table],
-                           dart_adjacency(ctx.g, real_edges))
+                           dart_adjacency(ctx.arcs, real_edges))
 
 
 def min_separating_cycle_fast(ctx: PieceContext, region: int,
@@ -435,7 +439,7 @@ def min_separating_cycle_fast(ctx: PieceContext, region: int,
         raise FallbackNeeded("face boundaries not connected through tables")
 
     xcut = XCut(g, chain.darts(), chain.nodes()[0], face_a, face_b)
-    universe = CutUniverse(g, xcut, real)
+    universe = CutUniverse(g, xcut, real, ctx.arcs)
 
     # sibling pieces entered by X contribute their real edges; their tables
     # would hide the crossings

@@ -1,19 +1,35 @@
 """Recursive balanced subdivision of an embedded planar graph into pieces.
 
 A piece is a connected edge subset of the host graph; children partition their
-parent's edges.  Every split tries a fundamental-cycle separator first: a BFS
-tree from an approximate center is interdigitated with the dual spanning tree
-over the piece's faces, so each non-tree edge's enclosed face weight is a
-subtree sum available in O(1).  The best few candidates are re-scored exactly
-by an edge partition and the most balanced one wins; degenerate pieces fall
-back to a plain connected edge bipartition, which keeps the construction
-correct (DDG assembly relies only on the partition property and on boundaries,
-never on balance).
+parent's edges.  A split of more than three edges tries a fundamental-cycle
+separator: a BFS tree from an approximate center is interdigitated with the
+dual spanning tree over the piece's faces, so each non-tree edge's enclosed
+face weight is a subtree sum available in O(1).  The best few candidates are
+re-scored exactly by an edge partition and the most balanced one wins, unless
+a child would hold more than 17/20 of the piece's edges.  Face weights
+alternate by depth between edge count and boundary-vertex count, which keeps
+boundaries from concentrating in one child.
+
+A tabled piece (more than `R` edges, or the root) gets its distance tables up
+front, at about one search per boundary vertex over its children's tables
+(see `ddg`), so its split also weighs BFS level cuts by the boundaries they
+make.  Levels are counted from either end of an approximate diameter; the cut
+at level L puts an edge below when its nearer endpoint lies below L.  One
+pass over the distance array scores every level by prefix sums: the larger
+of the two sides' boundaries, inherited boundary vertices and cut vertices
+alike.  The best level under the 17/20 cap wins when that boundary is
+strictly smaller than the cycle separator's largest child boundary.  On a
+long strip the cycles run along the strip and the levels cut across it.
+
+A piece with neither falls back to a plain connected edge bipartition by BFS
+edge order, which keeps the construction correct (DDG assembly relies only
+on the partition property and on boundaries, never on balance).  Pieces of at
+most `R` edges keep the cycle-or-fallback rule: scoring level cuts there made
+the subdivision slower and the builds no faster (CHANGES.md).
 
 Boundary vertices are always recomputed from global incidence: a vertex is
-boundary for a piece exactly when some edge outside the piece touches it.
-Balance targets alternate by depth between edge count and boundary-vertex
-count, which keeps boundaries from concentrating in one child.
+boundary for a piece exactly when some edge outside the piece touches it,
+that is, when fewer than all of its darts are piece darts.
 """
 
 from __future__ import annotations
@@ -24,6 +40,11 @@ from .errors import Disconnected, InternalAssertion
 from .planar_core import PlanarEmbedding
 
 _EXACT_CANDIDATES = 8
+
+# pieces of more than R edges, and the root, get their distance tables up
+# front (see `ddg`), and only their splits weigh BFS level cuts; 8 to 32
+# built equally fast, and 24 did the least table work (CHANGES.md)
+R = 24
 
 
 class Piece:
@@ -62,7 +83,8 @@ class Subdivision:
         self.pieces: list[Piece] = []
         self.root = 0
         self.edge_leaf: list[int] = [-1] * g.m
-        self.stats: dict = {"fallback_splits": 0, "separator_splits": 0}
+        self.stats: dict = {"fallback_splits": 0, "separator_splits": 0,
+                            "level_splits": 0}
 
     def levels(self) -> list[list[int]]:
         depth = max((p.depth for p in self.pieces), default=0)
@@ -81,15 +103,6 @@ class Subdivision:
         bset = set(self.pieces[pid].boundary)
         return sum(1 for orbit in sp.sub.faces
                    if any(sp.v_host[sp.sub.head[d]] in bset for d in orbit))
-
-
-def _edge_vertices(g: PlanarEmbedding, edges: list[int]) -> list[int]:
-    vs = set()
-    for e in edges:
-        u, v = g.endpoints(e)
-        vs.add(u)
-        vs.add(v)
-    return sorted(vs)
 
 
 def _build_subpiece(g: PlanarEmbedding, piece: Piece) -> SubPiece:
@@ -295,9 +308,8 @@ def recursive_subdivide(g: PlanarEmbedding) -> Subdivision:
     """Piece tree over g down to single-edge leaves."""
     sd = Subdivision(g)
     root = Piece(0, -1, sorted(range(g.m)), 0)
-    root.vertices = _edge_vertices(g, root.edges)
     sd.pieces.append(root)
-    _set_boundary(sd, root)
+    _set_vertices(g, root)
 
     queue = deque([0])
     while queue:
@@ -307,37 +319,73 @@ def recursive_subdivide(g: PlanarEmbedding) -> Subdivision:
             if piece.edges:
                 sd.edge_leaf[piece.edges[0]] = pid
             continue
-        groups = None
-        if len(piece.edges) > 3:
-            groups = _separator_split(sd, piece)
-        if groups is None:
-            groups = _fallback_split(sd, piece)
-            sd.stats["fallback_splits"] += 1
-        else:
-            sd.stats["separator_splits"] += 1
+        groups, rule = _split(sd, piece)
+        sd.stats[rule] += 1
         for part in groups:
             child = Piece(len(sd.pieces), pid, sorted(part), piece.depth + 1)
-            child.vertices = _edge_vertices(g, child.edges)
             sd.pieces.append(child)
             piece.children.append(child.id)
-            _set_boundary(sd, child)
+            _set_vertices(g, child)
             queue.append(child.id)
     _check_partition(sd)
     depths = [p.depth for p in sd.pieces]
     sd.stats["pieces"] = len(sd.pieces)
     sd.stats["depth"] = max(depths)
     sd.stats["max_boundary"] = max(len(p.boundary) for p in sd.pieces)
+    tabled = [p for p in sd.pieces if _is_tabled(p)]
+    sd.stats["boundary_square_sum"] = sum(len(p.boundary) ** 2
+                                          for p in tabled)
+    sd.stats["max_boundary_ratio"] = round(max(
+        len(p.boundary) / len(p.edges) ** 0.5 for p in tabled), 3)
     return sd
 
 
-def _set_boundary(sd: Subdivision, piece: Piece) -> None:
-    g = sd.g
-    edge_set = set(piece.edges)
-    boundary = []
-    for v in piece.vertices:
-        if any((d >> 1) not in edge_set for d in g.out[v]):
-            boundary.append(v)
-    piece.boundary = boundary
+def _is_tabled(piece: Piece) -> bool:
+    return piece.parent < 0 or len(piece.edges) > R
+
+
+def _split(sd: Subdivision, piece: Piece) -> tuple[list[set[int]], str]:
+    """Connected children of a piece, and the stat key of the rule that
+    made them: the cycle separator, a BFS level cut on a tabled piece when
+    its largest child boundary is strictly smaller, else the fallback."""
+    sp = cycle = None
+    # a piece is connected, so one with fewer edges than vertices is a tree
+    # and has no fundamental cycle
+    if len(piece.edges) > 3 and len(piece.edges) >= len(piece.vertices):
+        sp = sd.subpiece(piece.id)
+        cycle = _separator_split(sd, piece, sp)
+    if _is_tabled(piece):
+        level = _level_split(sd, piece, sp or sd.subpiece(piece.id))
+        if level is not None and (cycle is None or level[0] < max(
+                _boundary_size(sd.g, part) for part in cycle)):
+            return level[1], "level_splits"
+    if cycle is not None:
+        return cycle, "separator_splits"
+    return _fallback_split(sd, piece), "fallback_splits"
+
+
+def _dart_counts(g: PlanarEmbedding, edges) -> dict[int, int]:
+    """Vertex -> number of its darts that belong to `edges`."""
+    darts: dict[int, int] = {}
+    for e in edges:
+        u = g.head[2 * e + 1]
+        v = g.head[2 * e]
+        darts[u] = darts.get(u, 0) + 1
+        darts[v] = darts.get(v, 0) + 1
+    return darts
+
+
+def _set_vertices(g: PlanarEmbedding, piece: Piece) -> None:
+    """Vertices and boundary of a piece from one pass over its edges: a
+    vertex is boundary when fewer than all of its darts are piece darts."""
+    darts = _dart_counts(g, piece.edges)
+    piece.vertices = sorted(darts)
+    piece.boundary = [v for v in piece.vertices if darts[v] < len(g.out[v])]
+
+
+def _boundary_size(g: PlanarEmbedding, edges) -> int:
+    return sum(1 for v, k in _dart_counts(g, edges).items()
+               if k < len(g.out[v]))
 
 
 def _connected_edge_groups(g: PlanarEmbedding, edges: set[int]) -> list[set[int]]:
@@ -361,8 +409,8 @@ def _connected_edge_groups(g: PlanarEmbedding, edges: set[int]) -> list[set[int]
     return groups
 
 
-def _separator_split(sd: Subdivision, piece: Piece) -> list[set[int]] | None:
-    sp = sd.subpiece(piece.id)
+def _separator_split(sd: Subdivision, piece: Piece,
+                     sp: SubPiece) -> list[set[int]] | None:
     sub = sp.sub
     if piece.depth % 2 == 0 or not piece.boundary:
         face_weights = _face_weights_edges(sub)
@@ -394,6 +442,81 @@ def _separator_split(sd: Subdivision, piece: Piece) -> list[set[int]] | None:
     if max(len(p) for p in groups) > max(2, (len(piece.edges) * 17) // 20):
         return None
     return groups
+
+
+def _level_split(sd: Subdivision, piece: Piece,
+                 sp: SubPiece) -> tuple[int, list[set[int]]] | None:
+    """Best BFS level cut of a piece, as (largest side boundary, connected
+    children), or None when no level keeps both sides under the balance
+    cap.  Levels are counted from either end of an approximate diameter.
+    An edge lies below level L when its nearer endpoint does; the cut
+    vertices of L are the level-L vertices with an edge at or above L."""
+    sub = sp.sub
+    bset = set(piece.boundary)
+    inherited = [h in bset for h in sp.v_host]
+    cap = max(2, (sub.m * 17) // 20)
+    a, _ = _bfs_farthest(sub, 0)
+    b, dist_a = _bfs_farthest(sub, a)
+    _, dist_b = _bfs_farthest(sub, b)
+    best = None
+    for dist in (dist_a, dist_b):
+        got = _best_level(sub, dist, inherited, cap)
+        if got is not None and (best is None or got[:2] < best[:2]):
+            best = got + (dist,)
+    if best is None:
+        return None
+    score, _, level, dist = best
+    below, above = set(), set()
+    for he, u, v in zip(sp.e_host, sub.head[1::2], sub.head[::2]):
+        (below if min(dist[u], dist[v]) < level else above).add(he)
+    # the edges below a level reach the source through BFS tree edges
+    return score, [below] + _connected_edge_groups(sd.g, above)
+
+
+def _best_level(sub: PlanarEmbedding, dist: list[int], inherited: list[bool],
+                cap: int) -> tuple[int, int, int] | None:
+    """(largest side boundary, larger side's edges, level) of the best cut
+    under `cap`, scored for every level by prefix sums in O(n + m)."""
+    top = max(dist)
+    below_at = [0] * (top + 1)     # edges by nearer-endpoint level
+    # level of a vertex's highest edge: its parent edge's at least
+    reach = [max(d - 1, 0) for d in dist]
+    for u, v in zip(sub.head[1::2], sub.head[::2]):
+        du = dist[u]
+        dv = dist[v]
+        if du <= dv:
+            below_at[du] += 1
+            reach[u] = du
+        if dv <= du:
+            if dv < du:
+                below_at[dv] += 1
+            reach[v] = dv
+    held_at = [0] * (top + 1)      # inherited boundary vertices by level
+    held_reach = [0] * (top + 1)   # ... by the level of their highest edge
+    cut_at = [0] * (top + 1)       # other vertices cut at their own level
+    for v in range(sub.n):
+        if inherited[v]:
+            held_at[dist[v]] += 1
+            held_reach[reach[v]] += 1
+        elif reach[v] == dist[v]:
+            cut_at[dist[v]] += 1
+    best = None
+    below = 0
+    held_below = held_at[0]
+    held_above = sum(held_at)
+    for level in range(1, top + 1):
+        below += below_at[level - 1]
+        if below == sub.m:
+            break
+        held_below += held_at[level]
+        held_above -= held_reach[level - 1]
+        larger = max(below, sub.m - below)
+        if larger > cap:
+            continue
+        got = (max(held_below, held_above) + cut_at[level], larger, level)
+        if best is None or got < best:
+            best = got
+    return best
 
 
 def _face_weights_edges(sub: PlanarEmbedding) -> list[int]:

@@ -132,16 +132,20 @@ def dart_arc(g, d: int) -> Arc:
                d, d, None)
 
 
-def dart_adjacency(g, edges, adj: dict | None = None) -> dict:
+def dart_arcs(g) -> list[Arc]:
+    """The arc of every dart of `g`, indexed by dart."""
+    return [dart_arc(g, d) for d in range(2 * g.m)]
+
+
+def dart_adjacency(arcs: list[Arc], edges, adj: dict | None = None) -> dict:
     """Plain-vertex search arcs over both darts of each edge, in edge
-    order, appended to `adj` when given.  One row per dart, so parallel
-    edges stay apart."""
+    order, appended to `adj` when given; `arcs` is `dart_arcs` of the
+    host.  One row per dart, so parallel edges stay apart."""
     if adj is None:
         adj = {}
     for e in sorted(edges):
-        for d in (2 * e, 2 * e + 1):
-            adj.setdefault(g.head[d ^ 1], []).append((g.head[d],
-                                                      dart_arc(g, d)))
+        for arc in (arcs[2 * e], arcs[2 * e + 1]):
+            adj.setdefault(arc.src, []).append((arc.dst, arc))
     return adj
 
 

@@ -79,6 +79,9 @@ def test_gh_tree_shape(delaunay12, delaunay12_oracle):
 
 CROSS_CHECK_GRAPHS = {
     "delaunay": lambda: random_delaunay_graph(12, seed=0),
+    # its mcb build walks an external entry whose interior meets the cut
+    # path while its end darts do not (the contact rule's exact branch)
+    "delaunay-1": lambda: random_delaunay_graph(12, seed=1),
     "strip": lambda: grid_graph(3, 24, rng=random.Random(3)),
     "sparse": lambda: random_grid_subgraph(4, 5, seed=13, keep=0.5),
     "parallel-zero": parallel_zero_graph,

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -7,8 +8,10 @@ from planarcut.errors import InternalAssertion
 from planarcut.generators import (grid_graph, random_delaunay_graph,
                                   random_grid_subgraph, triangle_graph)
 from planarcut.planar_core import is_simple_cycle
-from planarcut.subdivision import (cycle_separator, recursive_subdivide,
-                                   _connected_edge_groups,
+from planarcut.oracle import HostChain
+from planarcut.subdivision import (R, cycle_separator, recursive_subdivide,
+                                   _bfs_farthest, _best_level,
+                                   _boundary_size, _connected_edge_groups,
                                    _face_weights_edges)
 from planarcut.weights import TieBreakWeight
 
@@ -184,3 +187,98 @@ def test_levels_cover_each_edge_once_per_level():
             seen.extend(sd.pieces[pid].edges)
         # pieces at one level never share an edge
         assert len(seen) == len(set(seen))
+
+
+# -- level cuts ------------------------------------------------------------------
+
+def cut_host(g):
+    return HostChain(g, dualize=True).host
+
+
+LEVEL_GRAPHS = {
+    "strip": lambda: cut_host(grid_graph(3, 64, rng=random.Random(1))),
+    "delaunay": lambda: cut_host(random_delaunay_graph(50, seed=0)),
+    "grid": lambda: cut_host(grid_graph(8, 8, rng=random.Random(2))),
+    "sparse": lambda: random_grid_subgraph(8, 8, seed=4, keep=0.45),
+}
+
+
+def test_strip_tabled_pieces_have_small_boundaries():
+    # fundamental cycles alone split this strip along its length, leaving
+    # pieces of 31-71 edges with 20-26 boundary vertices
+    sd = recursive_subdivide(cut_host(grid_graph(3, 64)))
+    check_invariants(sd)
+    tabled = [p for p in sd.pieces if p.parent < 0 or len(p.edges) > R]
+    assert max(len(p.boundary) for p in tabled) <= 12
+    assert sd.stats["level_splits"] > 0
+    assert sd.stats["boundary_square_sum"] == sum(len(p.boundary) ** 2
+                                                  for p in tabled)
+    assert sd.stats["max_boundary_ratio"] == round(max(
+        len(p.boundary) / len(p.edges) ** 0.5 for p in tabled), 3)
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_GRAPHS))
+def test_level_splits_are_balanced_connected_partitions(name, monkeypatch):
+    split = subdivision._split
+    seen = []
+
+    def recorded(sd, piece):
+        groups, rule = split(sd, piece)
+        if rule == "level_splits":
+            seen.append((piece, groups))
+        return groups, rule
+
+    monkeypatch.setattr(subdivision, "_split", recorded)
+    sd = recursive_subdivide(LEVEL_GRAPHS[name]())
+    check_invariants(sd)
+    assert len(seen) == sd.stats["level_splits"] > 0
+    for piece, groups in seen:
+        assert piece.parent < 0 or len(piece.edges) > R
+        assert len(groups) >= 2
+        assert max(len(p) for p in groups) <= max(2, len(piece.edges) * 17
+                                                  // 20)
+        assert sorted(e for p in groups for e in p) == piece.edges
+        for p in groups:
+            assert len(_connected_edge_groups(sd.g, p)) == 1
+
+
+def brute_best_level(g, sp, dist, cap):
+    """The best level by building both sides of every level outright."""
+    best = None
+    for level in range(1, max(dist) + 1):
+        below, above = set(), set()
+        for e in range(sp.sub.m):
+            u, v = sp.sub.endpoints(e)
+            side = below if min(dist[u], dist[v]) < level else above
+            side.add(sp.e_host[e])
+        if not above:
+            break
+        larger = max(len(below), len(above))
+        if larger <= cap:
+            score = max(_boundary_size(g, below), _boundary_size(g, above))
+            got = (score, larger, level)
+            if best is None or got < best:
+                best = got
+    return best
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_GRAPHS))
+def test_level_scores_match_built_sides(name):
+    # the prefix sums over one distance array must give each level the
+    # boundary its two sides really have
+    sd = recursive_subdivide(LEVEL_GRAPHS[name]())
+    checked = 0
+    for piece in sd.pieces:
+        if len(piece.edges) < 3:
+            continue
+        sp = sd.subpiece(piece.id)
+        bset = set(piece.boundary)
+        inherited = [h in bset for h in sp.v_host]
+        cap = max(2, sp.sub.m * 17 // 20)
+        a, _ = _bfs_farthest(sp.sub, 0)
+        for start in (a, sp.sub.n - 1):
+            _, dist = _bfs_farthest(sp.sub, start)
+            assert _best_level(sp.sub, dist, inherited, cap) == \
+                brute_best_level(sd.g, sp, dist, cap)
+            checked += 1
+    assert checked > 20
