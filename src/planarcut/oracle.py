@@ -349,24 +349,23 @@ class CutReportTables:
                 self.descend.setdefault(d, []).append(x)
         for lst in self.descend.values():
             lst.sort(key=lambda x: self.depth[x], reverse=True)
-        self.budget = 2 * sum(len(p) for p in self.p_darts) + 64
-
-    def _reroute(self, dart: int, idx: int) -> int:
-        """Deepest cycle at or above idx whose d1 is this dart, or -1."""
-        t = self.tin[idx]
-        for x in self.descend.get(dart, ()):
-            if self.tin[x] <= t <= self.tout[x]:
-                return x
-        return -1
+        self.budget = 3 * sum(len(p) for p in self.p_darts) + 64
 
     def expand_index(self, idx: int) -> tuple[list[int], int]:
-        """Reassemble a stored cycle; returns (darts, touched counter)."""
+        """Reassemble a stored cycle; returns (darts, touched counter).
+        The counter takes every stored dart read and every `descend` entry
+        scanned.  The dart reads come to at most twice the cycle length,
+        and the scans to at most the cycle count, as a cycle emits each
+        dart once and every cycle sits in one list: hence the budget of
+        3 Σ|P|."""
         path = self.p_darts[idx]
         out = list(path)
         touched = len(path)
         if self.d1[idx] == -1:
             return out, touched
         budget = self.budget
+        descend, tin, tout = self.descend, self.tin, self.tout
+        t = tin[idx]
         d = self.d2[idx]
         while True:
             cur, pos = self.owner[d]
@@ -378,7 +377,14 @@ class CutReportTables:
                 touched += 1
                 if touched > budget:
                     raise InternalAssertion("cycle reassembly never closed")
-                hop = self._reroute(dart, idx)
+                # reroute into the deepest cycle at or above idx whose d1
+                # is this dart (the lists are deepest first)
+                hop = -1
+                for x in descend.get(dart, ()):
+                    touched += 1
+                    if tin[x] <= t <= tout[x]:
+                        hop = x
+                        break
                 if hop == idx:
                     return out, touched
                 if hop != -1:

@@ -1,31 +1,21 @@
 """Recursive balanced subdivision of an embedded planar graph into pieces.
 
 A piece is a connected edge subset of the host graph; children partition their
-parent's edges.  A split of more than three edges tries a fundamental-cycle
-separator: a BFS tree from an approximate center is interdigitated with the
-dual spanning tree over the piece's faces, so each non-tree edge's enclosed
-face weight is a subtree sum available in O(1).  The best few candidates are
-re-scored exactly by an edge partition and the most balanced one wins, unless
-a child would hold more than 17/20 of the piece's edges.  Face weights
-alternate by depth between edge count and boundary-vertex count, which keeps
-boundaries from concentrating in one child.
+parent's edges.  DDG assembly relies only on that partition property and on
+boundaries, never on how a split is chosen, so the split rule is a policy:
+it is there to keep boundaries small, and with them the distance tables.
 
-A tabled piece (more than `R` edges, or the root) gets its distance tables up
-front, at about one search per boundary vertex over its children's tables
-(see `ddg`), so its split also weighs BFS level cuts by the boundaries they
-make.  Levels are counted from either end of an approximate diameter; the cut
-at level L puts an edge below when its nearer endpoint lies below L.  One
-pass over the distance array scores every level by prefix sums: the larger
-of the two sides' boundaries, inherited boundary vertices and cut vertices
-alike.  The best level under the 17/20 cap wins when that boundary is
-strictly smaller than the cycle separator's largest child boundary.  On a
-long strip the cycles run along the strip and the levels cut across it.
+Every piece splits by its best BFS level cut.  Levels are counted from either
+end of an approximate diameter; the cut at level L puts an edge below when
+its nearer endpoint lies below L.  One pass over the distance array scores
+every level by prefix sums: the larger of the two sides' boundaries,
+inherited boundary vertices and cut vertices alike.  The best level under the
+17/20 cap wins.  On a long strip the levels cut across it.  A level cut reads
+only adjacency, so no split builds faces.
 
-A piece with neither falls back to a plain connected edge bipartition by BFS
-edge order, which keeps the construction correct (DDG assembly relies only
-on the partition property and on boundaries, never on balance).  Pieces of at
-most `R` edges keep the cycle-or-fallback rule: scoring level cuts there made
-the subdivision slower and the builds no faster (CHANGES.md).
+A piece that no level splits under the cap, such as parallel edges between
+two vertices (all of them lie below level 1), falls back to a plain connected
+edge bipartition by BFS edge order.
 
 Boundary vertices are always recomputed from global incidence: a vertex is
 boundary for a piece exactly when some edge outside the piece touches it,
@@ -36,14 +26,12 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import Disconnected, InternalAssertion
+from .errors import InternalAssertion
 from .planar_core import PlanarEmbedding
 
-_EXACT_CANDIDATES = 8
-
 # pieces of more than R edges, and the root, get their distance tables up
-# front (see `ddg`), and only their splits weigh BFS level cuts; 8 to 32
-# built equally fast, and 24 did the least table work (CHANGES.md)
+# front; smaller ones get theirs on first use (see `ddg`).  8 to 32 built
+# equally fast, and 24 did the least table work (CHANGES.md)
 R = 24
 
 
@@ -83,8 +71,7 @@ class Subdivision:
         self.pieces: list[Piece] = []
         self.root = 0
         self.edge_leaf: list[int] = [-1] * g.m
-        self.stats: dict = {"fallback_splits": 0, "separator_splits": 0,
-                            "level_splits": 0}
+        self.stats: dict = {"fallback_splits": 0, "level_splits": 0}
 
     def levels(self) -> list[list[int]]:
         depth = max((p.depth for p in self.pieces), default=0)
@@ -95,7 +82,11 @@ class Subdivision:
 
     def subpiece(self, pid: int) -> SubPiece:
         """The embedded subgraph of one piece, built afresh on each call."""
-        return _build_subpiece(self.g, self.pieces[pid])
+        g = self.g
+        v_host, e_host, head, out = _local_indices(g, self.pieces[pid])
+        sub = PlanarEmbedding(len(v_host), head, out,
+                              [g.weights[e] for e in e_host], g.scale)
+        return SubPiece(sub, v_host, e_host)
 
     def hole_faces(self, pid: int) -> int:
         """Faces of the piece's own embedding that touch its boundary."""
@@ -105,7 +96,11 @@ class Subdivision:
                    if any(sp.v_host[sp.sub.head[d]] in bset for d in orbit))
 
 
-def _build_subpiece(g: PlanarEmbedding, piece: Piece) -> SubPiece:
+def _local_indices(g: PlanarEmbedding, piece: Piece) -> tuple[
+        list[int], list[int], list[int], list[list[int]]]:
+    """A piece in local indices, as (v_host, e_host, head, out): local
+    vertex i is host vertex v_host[i], local edge j is host edge e_host[j]
+    with darts 2j and 2j + 1, and out keeps the host's rotation order."""
     v_host = piece.vertices
     v_sub = {h: i for i, h in enumerate(v_host)}
     e_host = piece.edges
@@ -122,184 +117,7 @@ def _build_subpiece(g: PlanarEmbedding, piece: Piece) -> SubPiece:
     for se, he in enumerate(e_host):
         head[2 * se] = v_sub[g.head[2 * he]]
         head[2 * se + 1] = v_sub[g.head[2 * he + 1]]
-    sub = PlanarEmbedding(len(v_host), head, out,
-                          [g.weights[e] for e in e_host], g.scale)
-    return SubPiece(sub, v_host, e_host)
-
-
-# -- separator ------------------------------------------------------------------
-
-def _bfs_farthest(sub: PlanarEmbedding, start: int) -> tuple[int, list[int]]:
-    dist = [-1] * sub.n
-    dist[start] = 0
-    q = deque([start])
-    last = start
-    while q:
-        u = q.popleft()
-        last = u
-        for d in sub.out[u]:
-            v = sub.head[d]
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                q.append(v)
-    return last, dist
-
-
-def _bfs_tree_from_center(sub: PlanarEmbedding) -> list[int]:
-    """parent_dart[v]: dart entering v from its BFS parent, -1 at the root."""
-    a, _ = _bfs_farthest(sub, 0)
-    b, dist_a = _bfs_farthest(sub, a)
-    # walk the a..b shortest path halfway back from b
-    path = [b]
-    cur = b
-    while cur != a:
-        for d in sub.out[cur]:
-            v = sub.head[d]
-            if dist_a[v] == dist_a[cur] - 1:
-                cur = v
-                path.append(cur)
-                break
-        else:
-            raise InternalAssertion("BFS distance field inconsistent")
-    center = path[len(path) // 2]
-    parent_dart = [-1] * sub.n
-    seen = [False] * sub.n
-    seen[center] = True
-    q = deque([center])
-    while q:
-        u = q.popleft()
-        for d in sub.out[u]:
-            v = sub.head[d]
-            if not seen[v]:
-                seen[v] = True
-                parent_dart[v] = d
-                q.append(v)
-    if not all(seen):
-        raise Disconnected("piece subgraph is not connected")
-    return parent_dart
-
-
-def cycle_separator(sub: PlanarEmbedding,
-                    face_weights: list[int]) -> tuple[set[int], set[int]] | None:
-    """Best fundamental-cycle separator of an embedded connected graph.
-
-    Returns (cycle edge ids, faces enclosed against the root face) maximising
-    the smaller side of `face_weights`, or None when the graph is a tree or no
-    candidate separates anything.  The top estimated candidates are re-scored
-    exactly before choosing.
-    """
-    if sub.m < 3 or sub.m - sub.n + 1 <= 0:
-        return None
-    parent_dart = _bfs_tree_from_center(sub)
-    tree_edges = set()
-    for v in range(sub.n):
-        d = parent_dart[v]
-        if d >= 0:
-            tree_edges.add(d >> 1)
-    nontree = [e for e in range(sub.m) if e not in tree_edges]
-    if not nontree:
-        return None
-
-    root_face = sub.infinite_face
-    # dual spanning tree over faces through non-tree edges
-    dual_adj: list[list[tuple[int, int]]] = [[] for _ in range(len(sub.faces))]
-    for e in nontree:
-        f1 = sub.face_of[2 * e]
-        f2 = sub.face_of[2 * e + 1]
-        dual_adj[f1].append((f2, e))
-        dual_adj[f2].append((f1, e))
-    dual_parent = [-2] * len(sub.faces)
-    dual_parent_edge = [-1] * len(sub.faces)
-    order = []
-    dual_parent[root_face] = -1
-    q = deque([root_face])
-    while q:
-        f = q.popleft()
-        order.append(f)
-        for f2, e in dual_adj[f]:
-            if dual_parent[f2] == -2:
-                dual_parent[f2] = f
-                dual_parent_edge[f2] = e
-                q.append(f2)
-    if len(order) != len(sub.faces):
-        raise InternalAssertion("dual spanning tree did not reach every face")
-    subtree = list(face_weights)
-    for f in reversed(order):
-        if dual_parent[f] >= 0:
-            subtree[dual_parent[f]] += subtree[f]
-    total = subtree[root_face]
-
-    # enclosed weight of the fundamental cycle of non-tree edge e is the dual
-    # subtree hanging under e
-    child_face = {}
-    for f in range(len(sub.faces)):
-        e = dual_parent_edge[f]
-        if e >= 0:
-            child_face[e] = f
-    scored = []
-    for e in nontree:
-        f = child_face.get(e)
-        if f is None:
-            # non-tree edge whose dual edge is also not in the dual tree:
-            # impossible by interdigitation
-            raise InternalAssertion("non-tree edge missing from dual tree")
-        inside = subtree[f]
-        scored.append((min(inside, total - inside), e))
-    scored.sort(reverse=True)
-
-    best = None
-    for est, e in scored[:_EXACT_CANDIDATES]:
-        cyc = _fundamental_cycle(sub, parent_dart, e)
-        inside = _enclosed_faces(sub, cyc, root_face)
-        if not inside or len(inside) == len(sub.faces):
-            continue
-        w_in = sum(face_weights[f] for f in inside)
-        score = min(w_in, total - w_in)
-        if best is None or score > best[0]:
-            best = (score, cyc, inside)
-    if best is None:
-        return None
-    return best[1], best[2]
-
-
-def _fundamental_cycle(sub: PlanarEmbedding, parent_dart: list[int],
-                       e: int) -> set[int]:
-    cyc = {e}
-    u, v = sub.endpoints(e)
-    # climb both endpoints to the root, then trim the common prefix
-    pu = []
-    x = u
-    while parent_dart[x] >= 0:
-        pu.append(parent_dart[x] >> 1)
-        x = sub.head[parent_dart[x] ^ 1]
-    pv = []
-    x = v
-    while parent_dart[x] >= 0:
-        pv.append(parent_dart[x] >> 1)
-        x = sub.head[parent_dart[x] ^ 1]
-    su, sv = set(pu), set(pv)
-    cyc.update(eu for eu in pu if eu not in sv)
-    cyc.update(ev for ev in pv if ev not in su)
-    return cyc
-
-
-def _enclosed_faces(sub: PlanarEmbedding, cyc: set[int], root_face: int) -> set[int]:
-    comp = set()
-    seed = sub.face_of[2 * next(iter(cyc))]
-    stack = [seed]
-    comp.add(seed)
-    while stack:
-        f = stack.pop()
-        for d in sub.faces[f]:
-            if (d >> 1) in cyc:
-                continue
-            f2 = sub.face_of[d ^ 1]
-            if f2 not in comp:
-                comp.add(f2)
-                stack.append(f2)
-    if root_face in comp:
-        return {f for f in range(len(sub.faces)) if f not in comp}
-    return comp
+    return v_host, e_host, head, out
 
 
 # -- recursive construction ------------------------------------------------------
@@ -320,6 +138,9 @@ def recursive_subdivide(g: PlanarEmbedding) -> Subdivision:
                 sd.edge_leaf[piece.edges[0]] = pid
             continue
         groups, rule = _split(sd, piece)
+        # a group holding the whole piece would requeue it forever
+        if any(len(part) >= len(piece.edges) for part in groups):
+            raise InternalAssertion(f"split of piece {pid} made no progress")
         sd.stats[rule] += 1
         for part in groups:
             child = Piece(len(sd.pieces), pid, sorted(part), piece.depth + 1)
@@ -346,21 +167,10 @@ def _is_tabled(piece: Piece) -> bool:
 
 def _split(sd: Subdivision, piece: Piece) -> tuple[list[set[int]], str]:
     """Connected children of a piece, and the stat key of the rule that
-    made them: the cycle separator, a BFS level cut on a tabled piece when
-    its largest child boundary is strictly smaller, else the fallback."""
-    sp = cycle = None
-    # a piece is connected, so one with fewer edges than vertices is a tree
-    # and has no fundamental cycle
-    if len(piece.edges) > 3 and len(piece.edges) >= len(piece.vertices):
-        sp = sd.subpiece(piece.id)
-        cycle = _separator_split(sd, piece, sp)
-    if _is_tabled(piece):
-        level = _level_split(sd, piece, sp or sd.subpiece(piece.id))
-        if level is not None and (cycle is None or level[0] < max(
-                _boundary_size(sd.g, part) for part in cycle)):
-            return level[1], "level_splits"
-    if cycle is not None:
-        return cycle, "separator_splits"
+    made them: the best BFS level cut, else the fallback."""
+    level = _level_split(sd, piece)
+    if level is not None:
+        return level, "level_splits"
     return _fallback_split(sd, piece), "fallback_splits"
 
 
@@ -381,11 +191,6 @@ def _set_vertices(g: PlanarEmbedding, piece: Piece) -> None:
     darts = _dart_counts(g, piece.edges)
     piece.vertices = sorted(darts)
     piece.boundary = [v for v in piece.vertices if darts[v] < len(g.out[v])]
-
-
-def _boundary_size(g: PlanarEmbedding, edges) -> int:
-    return sum(1 for v, k in _dart_counts(g, edges).items()
-               if k < len(g.out[v]))
 
 
 def _connected_edge_groups(g: PlanarEmbedding, edges: set[int]) -> list[set[int]]:
@@ -409,79 +214,61 @@ def _connected_edge_groups(g: PlanarEmbedding, edges: set[int]) -> list[set[int]
     return groups
 
 
-def _separator_split(sd: Subdivision, piece: Piece,
-                     sp: SubPiece) -> list[set[int]] | None:
-    sub = sp.sub
-    if piece.depth % 2 == 0 or not piece.boundary:
-        face_weights = _face_weights_edges(sub)
-    else:
-        face_weights = _face_weights_boundary(sub, sp, set(piece.boundary))
-        if sum(face_weights) == 0:
-            face_weights = _face_weights_edges(sub)
-    got = cycle_separator(sub, face_weights)
-    if got is None:
-        return None
-    cyc, inside = got
-    side_in = set()
-    side_out = set()
-    for se in range(sub.m):
-        if se in cyc:
-            side_in.add(sp.e_host[se])
-        elif sub.face_of[2 * se] in inside:
-            side_in.add(sp.e_host[se])
-        else:
-            side_out.add(sp.e_host[se])
-    if not side_in or not side_out:
-        return None
-    groups = []
-    for part in (side_in, side_out):
-        groups.extend(_connected_edge_groups(sd.g, part))
-    if len(groups) < 2:
-        return None
-    # a lopsided separator loses to the plain halving fallback
-    if max(len(p) for p in groups) > max(2, (len(piece.edges) * 17) // 20):
-        return None
-    return groups
+def _bfs_farthest(head: list[int], out: list[list[int]],
+                  start: int) -> tuple[int, list[int]]:
+    dist = [-1] * len(out)
+    dist[start] = 0
+    q = deque([start])
+    last = start
+    while q:
+        u = q.popleft()
+        last = u
+        for d in out[u]:
+            v = head[d]
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                q.append(v)
+    return last, dist
 
 
-def _level_split(sd: Subdivision, piece: Piece,
-                 sp: SubPiece) -> tuple[int, list[set[int]]] | None:
-    """Best BFS level cut of a piece, as (largest side boundary, connected
-    children), or None when no level keeps both sides under the balance
-    cap.  Levels are counted from either end of an approximate diameter.
-    An edge lies below level L when its nearer endpoint does; the cut
-    vertices of L are the level-L vertices with an edge at or above L."""
-    sub = sp.sub
+def _level_split(sd: Subdivision, piece: Piece) -> list[set[int]] | None:
+    """Connected children of a piece's best BFS level cut, or None when no
+    level keeps both sides under the balance cap.  Levels are counted from
+    either end of an approximate diameter.  An edge lies below level L when
+    its nearer endpoint does; the cut vertices of L are the level-L
+    vertices with an edge at or above L."""
+    v_host, e_host, head, out = _local_indices(sd.g, piece)
     bset = set(piece.boundary)
-    inherited = [h in bset for h in sp.v_host]
-    cap = max(2, (sub.m * 17) // 20)
-    a, _ = _bfs_farthest(sub, 0)
-    b, dist_a = _bfs_farthest(sub, a)
-    _, dist_b = _bfs_farthest(sub, b)
+    inherited = [h in bset for h in v_host]
+    cap = max(2, (len(e_host) * 17) // 20)
+    a, _ = _bfs_farthest(head, out, 0)
+    b, dist_a = _bfs_farthest(head, out, a)
+    _, dist_b = _bfs_farthest(head, out, b)
     best = None
     for dist in (dist_a, dist_b):
-        got = _best_level(sub, dist, inherited, cap)
+        got = _best_level(head, dist, inherited, cap)
         if got is not None and (best is None or got[:2] < best[:2]):
             best = got + (dist,)
     if best is None:
         return None
-    score, _, level, dist = best
+    _, _, level, dist = best
     below, above = set(), set()
-    for he, u, v in zip(sp.e_host, sub.head[1::2], sub.head[::2]):
+    for he, u, v in zip(e_host, head[1::2], head[::2]):
         (below if min(dist[u], dist[v]) < level else above).add(he)
     # the edges below a level reach the source through BFS tree edges
-    return score, [below] + _connected_edge_groups(sd.g, above)
+    return [below] + _connected_edge_groups(sd.g, above)
 
 
-def _best_level(sub: PlanarEmbedding, dist: list[int], inherited: list[bool],
+def _best_level(head: list[int], dist: list[int], inherited: list[bool],
                 cap: int) -> tuple[int, int, int] | None:
     """(largest side boundary, larger side's edges, level) of the best cut
     under `cap`, scored for every level by prefix sums in O(n + m)."""
+    m = len(head) // 2
     top = max(dist)
     below_at = [0] * (top + 1)     # edges by nearer-endpoint level
     # level of a vertex's highest edge: its parent edge's at least
     reach = [max(d - 1, 0) for d in dist]
-    for u, v in zip(sub.head[1::2], sub.head[::2]):
+    for u, v in zip(head[1::2], head[::2]):
         du = dist[u]
         dv = dist[v]
         if du <= dv:
@@ -494,7 +281,7 @@ def _best_level(sub: PlanarEmbedding, dist: list[int], inherited: list[bool],
     held_at = [0] * (top + 1)      # inherited boundary vertices by level
     held_reach = [0] * (top + 1)   # ... by the level of their highest edge
     cut_at = [0] * (top + 1)       # other vertices cut at their own level
-    for v in range(sub.n):
+    for v in range(len(dist)):
         if inherited[v]:
             held_at[dist[v]] += 1
             held_reach[reach[v]] += 1
@@ -506,11 +293,11 @@ def _best_level(sub: PlanarEmbedding, dist: list[int], inherited: list[bool],
     held_above = sum(held_at)
     for level in range(1, top + 1):
         below += below_at[level - 1]
-        if below == sub.m:
+        if below == m:
             break
         held_below += held_at[level]
         held_above -= held_reach[level - 1]
-        larger = max(below, sub.m - below)
+        larger = max(below, m - below)
         if larger > cap:
             continue
         got = (max(held_below, held_above) + cut_at[level], larger, level)
@@ -519,24 +306,8 @@ def _best_level(sub: PlanarEmbedding, dist: list[int], inherited: list[bool],
     return best
 
 
-def _face_weights_edges(sub: PlanarEmbedding) -> list[int]:
-    w = [0] * len(sub.faces)
-    for e in range(sub.m):
-        w[sub.face_of[2 * e]] += 1
-    return w
-
-
-def _face_weights_boundary(sub: PlanarEmbedding, sp: SubPiece,
-                           bset: set[int]) -> list[int]:
-    w = [0] * len(sub.faces)
-    for v in range(sub.n):
-        if sp.v_host[v] in bset and sub.out[v]:
-            w[sub.face_of[sub.out[v][0]]] += 1
-    return w
-
-
 def _fallback_split(sd: Subdivision, piece: Piece) -> list[set[int]]:
-    """Connected halves by a BFS edge order; always makes progress."""
+    """Connected halves by a BFS edge order."""
     g = sd.g
     edge_set = set(piece.edges)
     order = []
@@ -558,10 +329,6 @@ def _fallback_split(sd: Subdivision, piece: Piece) -> list[set[int]]:
     groups = []
     for part in (first, second):
         groups.extend(_connected_edge_groups(g, part))
-    # a group holding the whole piece would requeue it forever
-    if any(len(p) >= len(piece.edges) for p in groups):
-        raise InternalAssertion(f"fallback split of piece {piece.id} "
-                                "made no progress")
     return groups
 
 

@@ -79,9 +79,10 @@ def test_gh_tree_shape(delaunay12, delaunay12_oracle):
 
 CROSS_CHECK_GRAPHS = {
     "delaunay": lambda: random_delaunay_graph(12, seed=0),
-    # its mcb build walks an external entry whose interior meets the cut
-    # path while its end darts do not (the contact rule's exact branch)
     "delaunay-1": lambda: random_delaunay_graph(12, seed=1),
+    # its cut build walks an external entry whose interior meets the cut
+    # path while its end darts do not (the contact rule's exact branch)
+    "delaunay-14": lambda: random_delaunay_graph(14, seed=4),
     "strip": lambda: grid_graph(3, 24, rng=random.Random(3)),
     "sparse": lambda: random_grid_subgraph(4, 5, seed=13, keep=0.5),
     "parallel-zero": parallel_zero_graph,
@@ -229,6 +230,30 @@ def check_cut_reports(g, orc):
         assert sum(g.weights[e].base for e in edges) == w, (s, t)
         assert removing_disconnects(g, set(edges), s, t), (s, t)
         assert orc.last_report_counter <= 4 * len(edges) + 16, (s, t)
+
+
+def test_report_work_counts_reroute_scans():
+    # a non-ancestor entry at the head of every emitted dart's `descend`
+    # list changes no cycle, but each one read must show in the count
+    tables = build_oracle(random_delaunay_graph(12, seed=0))._tables
+    checked = 0
+    for idx in range(len(tables.p_darts)):
+        if tables.d1[idx] == -1:
+            continue
+        darts, touched = tables.expand_index(idx)
+        t = tables.tin[idx]
+        other = next(x for x in range(len(tables.p_darts))
+                     if not tables.tin[x] <= t <= tables.tout[x])
+        saved = dict(tables.descend)
+        for d in darts:
+            tables.descend[d] = [other] + saved.get(d, [])
+        padded, padded_touched = tables.expand_index(idx)
+        tables.descend = saved
+        assert padded == darts
+        assert padded_touched - touched == \
+            len(darts) - len(tables.p_darts[idx])
+        checked += 1
+    assert checked > 0
 
 
 def test_report_cut_grid3(grid3):

@@ -7,12 +7,10 @@ from planarcut import subdivision
 from planarcut.errors import InternalAssertion
 from planarcut.generators import (grid_graph, random_delaunay_graph,
                                   random_grid_subgraph, triangle_graph)
-from planarcut.planar_core import is_simple_cycle
 from planarcut.oracle import HostChain
-from planarcut.subdivision import (R, cycle_separator, recursive_subdivide,
-                                   _bfs_farthest, _best_level,
-                                   _boundary_size, _connected_edge_groups,
-                                   _face_weights_edges)
+from planarcut.subdivision import (R, recursive_subdivide, _bfs_farthest,
+                                   _best_level, _connected_edge_groups,
+                                   _dart_counts)
 from planarcut.weights import TieBreakWeight
 
 
@@ -79,7 +77,13 @@ def test_single_edge_graph_is_one_leaf():
 def test_triangle_subdivision():
     sd = recursive_subdivide(triangle_graph(1, 2, 3))
     check_invariants(sd)
-    # 3 edges cannot be cycle-separated, the fallback must have run
+    # parallel edges between two vertices all lie below level 1, so no
+    # level splits them and the fallback must run
+    from planarcut.planar_core import build_embedding
+    g = build_embedding(2, [(0, 1)] * 3, [TieBreakWeight.of(1)] * 3,
+                        [[0, 1, 2], [2, 1, 0]])
+    sd = recursive_subdivide(g)
+    check_invariants(sd)
     assert sd.stats["fallback_splits"] >= 1
 
 
@@ -101,7 +105,7 @@ def test_path_graph_tree_fallback():
     g = build_embedding(n, edges, [TieBreakWeight.of(1)] * (n - 1), rot)
     sd = recursive_subdivide(g)
     check_invariants(sd)
-    assert sd.stats["separator_splits"] == 0
+    assert sd.stats["fallback_splits"] == 0
     assert sd.stats["depth"] <= 2 * math.ceil(math.log2(n)) + 2
 
 
@@ -124,30 +128,8 @@ def test_separator_splits_used_on_larger_graphs():
     g = grid_graph(6, 6)
     sd = recursive_subdivide(g)
     check_invariants(sd)
-    assert sd.stats["separator_splits"] > 0
+    assert sd.stats["level_splits"] > 0
     assert sd.stats["max_boundary"] <= g.n // 2
-
-
-def test_cycle_separator_on_grid():
-    g = grid_graph(4, 4)
-    sd = recursive_subdivide(g)
-    sp = sd.subpiece(sd.root)
-    weights = _face_weights_edges(sp.sub)
-    got = cycle_separator(sp.sub, weights)
-    assert got is not None
-    cyc, inside = got
-    assert is_simple_cycle(sp.sub, cyc)
-    assert 0 < len(inside) < len(sp.sub.faces)
-    w_in = sum(weights[f] for f in inside)
-    total = sum(weights)
-    assert min(w_in, total - w_in) >= total // 5
-
-
-def test_cycle_separator_none_on_tree():
-    from planarcut.planar_core import build_embedding
-    g = build_embedding(3, [(0, 1), (1, 2)],
-                        [TieBreakWeight.of(1)] * 2, [[0], [0, 1], [1]])
-    assert cycle_separator(g, _face_weights_edges(g)) is None
 
 
 def test_subpiece_embedding_faithful():
@@ -233,13 +215,17 @@ def test_level_splits_are_balanced_connected_partitions(name, monkeypatch):
     check_invariants(sd)
     assert len(seen) == sd.stats["level_splits"] > 0
     for piece, groups in seen:
-        assert piece.parent < 0 or len(piece.edges) > R
         assert len(groups) >= 2
         assert max(len(p) for p in groups) <= max(2, len(piece.edges) * 17
                                                   // 20)
         assert sorted(e for p in groups for e in p) == piece.edges
         for p in groups:
             assert len(_connected_edge_groups(sd.g, p)) == 1
+
+
+def boundary_size(g, edges):
+    return sum(1 for v, k in _dart_counts(g, edges).items()
+               if k < len(g.out[v]))
 
 
 def brute_best_level(g, sp, dist, cap):
@@ -255,7 +241,7 @@ def brute_best_level(g, sp, dist, cap):
             break
         larger = max(len(below), len(above))
         if larger <= cap:
-            score = max(_boundary_size(g, below), _boundary_size(g, above))
+            score = max(boundary_size(g, below), boundary_size(g, above))
             got = (score, larger, level)
             if best is None or got < best:
                 best = got
@@ -275,10 +261,11 @@ def test_level_scores_match_built_sides(name):
         bset = set(piece.boundary)
         inherited = [h in bset for h in sp.v_host]
         cap = max(2, sp.sub.m * 17 // 20)
-        a, _ = _bfs_farthest(sp.sub, 0)
+        head, out = sp.sub.head, sp.sub.out
+        a, _ = _bfs_farthest(head, out, 0)
         for start in (a, sp.sub.n - 1):
-            _, dist = _bfs_farthest(sp.sub, start)
-            assert _best_level(sp.sub, dist, inherited, cap) == \
+            _, dist = _bfs_farthest(head, out, start)
+            assert _best_level(head, dist, inherited, cap) == \
                 brute_best_level(sd.g, sp, dist, cap)
             checked += 1
     assert checked > 20
