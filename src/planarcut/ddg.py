@@ -14,15 +14,18 @@ the pieces.  A small piece of at most `R` edges gets its tables on first use
 engine asks for them.  Wherever a small piece would enter a search as its
 internal table it enters as its real darts instead, one adjacency row per
 dart, so parallel edges stay apart.  A small piece's internal table is a
-search over its own darts.  Its external table is a search over the real
-darts of A minus the piece plus the external table of A, where A is its
-nearest ancestor that already has an external table.  That search is exact:
-a canonical path outside the piece, split at the boundary vertices of A it
-passes, is a chain of real darts of A and of direct entries of A's external
-table; and an interior vertex of such an entry is touched only by edges
-outside A, so it is never a boundary vertex of the piece (every one of
-those is touched by a piece edge).  Every table therefore holds the same
-paths whichever way it was built.
+search over its own darts.  Its external table is a search over its
+exterior graph (`DDGSet.ext_graph`): the real darts of A minus the piece
+plus the external table of A, where A is its nearest ancestor that already
+has an external table.  That search is exact: a canonical path outside
+the piece, split at the boundary vertices of A it passes, is a chain of
+real darts of A and of direct entries of A's external table; and an
+interior vertex of such an entry is touched only by edges outside A, so it
+is never a boundary vertex of the piece (every one of those is touched by
+a piece edge).  Every table therefore holds the same paths whichever way
+it was built.  A one-edge leaf gets no external table: the fast engine's
+call for it searches the exterior graph once, from one end of the edge to
+the other (see `sep_cycle`).
 
 A table entry is an `Arc` (see `weights`): a real dart at the leaves, above
 them the tuple of the entries its search chain took.  It remembers its
@@ -95,13 +98,12 @@ def table_adjacency(tables, adj: dict | None = None) -> dict:
     return adj
 
 
-def _all_pairs(adj: dict, boundary) -> Table:
-    """Direct canonical paths over `adj` between ordered pairs of
-    `boundary` vertices, one search per source."""
+def _all_pairs(arcs, boundary) -> Table:
+    """Direct canonical paths between ordered pairs of `boundary` vertices
+    over the search graph `arcs` (node -> rows), one search per source."""
     table: Table = {}
     bset = set(boundary)
     blist = sorted(bset)
-    arcs = lambda v: adj.get(v, ())
     for s in blist:
         got = lex_dijkstra(arcs, [s], targets=blist)
         for t in blist:
@@ -117,6 +119,11 @@ def _all_pairs(adj: dict, boundary) -> Table:
     return table
 
 
+def _rows(adj: dict):
+    """The node -> rows search graph of an adjacency map."""
+    return lambda v: adj.get(v, ())
+
+
 def _is_small(piece: Piece) -> bool:
     return piece.parent >= 0 and len(piece.edges) <= R
 
@@ -124,8 +131,9 @@ def _is_small(piece: Piece) -> bool:
 class DDGSet:
     """The internal and external table of every piece, read through
     `int_table` and `ext_table`.  A small piece's tables are built by the
-    first call that asks for them and kept.  `arcs` holds the arc of every
-    host dart, shared by every search over real darts."""
+    first call that asks for them and kept; `ext_graph` is the search graph
+    its external table tabulates.  `arcs` holds the arc of every host dart,
+    shared by every search over real darts."""
 
     __slots__ = ("sd", "arcs", "_int", "_ext", "_ext_adj", "stats")
 
@@ -144,35 +152,49 @@ class DDGSet:
         if table is None:
             piece = self.sd.pieces[pid]
             adj = dart_adjacency(self.arcs, piece.edges)
-            table = self._int[pid] = self._tabulate(adj, piece, "int_entries")
+            table = self._int[pid] = self._tabulate(_rows(adj), piece,
+                                                    "int_entries")
             self.stats["first_use_tables"] += 1
         return table
 
     def ext_table(self, pid: int) -> Table:
         table = self._ext[pid]
         if table is None:
-            pieces = self.sd.pieces
-            piece = pieces[pid]
-            a = pieces[piece.parent]
-            while self._ext[a.id] is None:
-                a = pieces[a.parent]
-            base = self._ext_adj.get(a.id)
-            if base is None:
-                base = self._ext_adj[a.id] = dart_adjacency(
-                    self.arcs, a.edges, table_adjacency([self._ext[a.id]]))
-            # the piece's darts leave its own vertices; an entry of ext(A)
-            # starts on an edge outside A, so it stays
-            inside = set(piece.edges)
-            adj = dict(base)
-            for v in piece.vertices:
-                adj[v] = [(h, arc) for h, arc in base[v]
-                          if (arc.first_dart >> 1) not in inside]
-            table = self._ext[pid] = self._tabulate(adj, piece, "ext_entries")
+            piece = self.sd.pieces[pid]
+            table = self._ext[pid] = self._tabulate(
+                self.ext_graph(pid), piece, "ext_entries")
             self.stats["first_use_tables"] += 1
         return table
 
-    def _tabulate(self, adj: dict, piece: Piece, kind: str) -> Table:
-        table = _all_pairs(adj, piece.boundary)
+    def ext_graph(self, pid: int):
+        """Search graph of everything outside small piece `pid`, as a
+        node -> rows callable: the real darts of A minus the piece plus the
+        external table of A, where A is the nearest ancestor with an
+        external table.  The graph of A is built once and kept; the piece's
+        own vertices get filtered rows on top of it."""
+        pieces = self.sd.pieces
+        piece = pieces[pid]
+        a = pieces[piece.parent]
+        while self._ext[a.id] is None:
+            a = pieces[a.parent]
+        base = self._ext_adj.get(a.id)
+        if base is None:
+            base = self._ext_adj[a.id] = dart_adjacency(
+                self.arcs, a.edges, table_adjacency([self._ext[a.id]]))
+        # the piece's darts leave its own vertices; an entry of ext(A)
+        # starts on an edge outside A, so it stays
+        inside = set(piece.edges)
+        own = {v: [(h, arc) for h, arc in base[v]
+                   if (arc.first_dart >> 1) not in inside]
+               for v in piece.vertices}
+
+        def rows(v):
+            r = own.get(v)
+            return base.get(v, ()) if r is None else r
+        return rows
+
+    def _tabulate(self, arcs, piece: Piece, kind: str) -> Table:
+        table = _all_pairs(arcs, piece.boundary)
         self.stats["dijkstra_sources"] += len(piece.boundary)
         self.stats[kind] += len(table)
         return table
@@ -201,7 +223,8 @@ def build_ddgs(sd: Subdivision) -> DDGSet:
             piece = sd.pieces[pid]
             if not _is_small(piece):
                 adj = ddg._piece_arcs(piece.children, {})
-                ddg._int[pid] = ddg._tabulate(adj, piece, "int_entries")
+                ddg._int[pid] = ddg._tabulate(_rows(adj), piece,
+                                              "int_entries")
 
     for level in levels:
         for pid in level:
@@ -212,5 +235,6 @@ def build_ddgs(sd: Subdivision) -> DDGSet:
                 parent = sd.pieces[piece.parent]
                 adj = table_adjacency([ddg._ext[parent.id]])
                 ddg._piece_arcs([c for c in parent.children if c != pid], adj)
-                ddg._ext[pid] = ddg._tabulate(adj, piece, "ext_entries")
+                ddg._ext[pid] = ddg._tabulate(_rows(adj), piece,
+                                              "ext_entries")
     return ddg

@@ -14,7 +14,11 @@ subdivision piece plus precomputed distance-table arcs for everything
 outside it; arcs whose hidden path touches X are expanded into their real
 edges so that crossings inside them stay visible, and every cycle, closed
 through the piece exterior or not, is found by the same crossing sweep.
-Both return the same cycle in canonical dart form.
+A one-edge leaf needs neither X nor the sweep: every cycle separating the
+two faces of its edge e contains e, so the cycle is e plus the canonical
+path between e's ends outside the piece, one search (the edge-plus-path
+cycle form of Horton's cycle basis algorithm).  Both engines return the
+same cycle in canonical dart form.
 """
 
 from __future__ import annotations
@@ -215,6 +219,12 @@ def _canonical_darts(darts) -> tuple:
     return best
 
 
+def _is_simple(g: PlanarEmbedding, darts) -> bool:
+    """True when the closed walk `darts` repeats no edge and no vertex."""
+    return (len({d >> 1 for d in darts}) == len(darts)
+            and len({g.head[d] for d in darts}) == len(darts))
+
+
 def _beats(g: PlanarEmbedding, a: CompactCycle, b: CompactCycle) -> bool:
     """Same tie-break ladder as path comparison: weight, edge count, then
     the smaller uncommon vertex index, the smaller uncommon edge id, and
@@ -255,8 +265,7 @@ def _crossing_sweep(universe: CutUniverse, xverts,
         darts = chain.darts()
         # a closed walk that reuses an edge or a vertex decomposes into the
         # simple winner plus nonnegative slack, so it can be dropped outright
-        if (len({d >> 1 for d in darts}) != len(darts)
-                or len({g.head[d] for d in darts}) != len(darts)):
+        if not _is_simple(g, darts):
             continue
         cand = CompactCycle(g, _canonical_darts(darts))
         if best is None or _beats(g, cand, best):
@@ -334,13 +343,16 @@ class PieceContext:
     the piece's own edges at the leaf level).  Siblings are the children
     outside the group; their interiors are represented by their internal
     distance tables, and everything outside the piece by the piece's
-    external table.
+    external table.  A one-edge group, a leaf's, reads no table: its cycle
+    is one search over the piece's exterior graph (`DDGSet.ext_graph`), so
+    `ext_table` stays None.
     """
 
     def __init__(self, g: PlanarEmbedding, tree: RegionTree, sd, ddgs,
                  piece_id: int, group_edges, sibling_ids=()):
         self.g = g
         self.tree = tree
+        self.ddgs = ddgs
         self.piece_id = piece_id
         self.arcs = ddgs.arcs
         self.group_edges = frozenset(group_edges)
@@ -348,7 +360,9 @@ class PieceContext:
         self.sib_edges = [frozenset(sd.pieces[c].edges)
                           for c in self.sibling_ids]
         self.sib_tables = [ddgs.int_table(c) for c in self.sibling_ids]
-        self.ext_table = ddgs.ext_table(piece_id)
+        self.ext_table = None
+        if len(self.group_edges) > 1 or self.sibling_ids:
+            self.ext_table = ddgs.ext_table(piece_id)
         self.edge_sibling = {}
         for i, edges in enumerate(self.sib_edges):
             for e in edges:
@@ -387,6 +401,37 @@ def _group_path_adjacency(ctx: PieceContext, real_edges) -> dict:
                            dart_adjacency(ctx.arcs, real_edges))
 
 
+def _one_edge_cycle(ctx: PieceContext, face_a: int, face_b: int,
+                    stats: dict) -> CompactCycle:
+    """The cycle of a one-edge group: its edge plus the canonical path
+    between the edge's ends over the piece's exterior graph, searched in
+    the direction of the crossing sweep (see `min_separating_cycle_fast`).
+    """
+    g = ctx.g
+    (e,) = ctx.group_edges
+    d = 2 * e
+    if g.head[d] < g.head[d ^ 1]:
+        d ^= 1
+    x, y = g.head[d ^ 1], g.head[d]
+    # d leaves x: on side 0 the sweep's walk starts with it, else it ends
+    # with its reverse
+    if XCut(g, [], x, face_a, face_b).side_of(x, d) == 0:
+        src, dst, first, last = y, x, [d], []
+    else:
+        src, dst, first, last = x, y, [], [d ^ 1]
+    res = lex_dijkstra(ctx.ddgs.ext_graph(ctx.piece_id), [src],
+                       targets=[dst])
+    stats["dijkstras"] += 1
+    chain = res.get(dst)
+    if chain is None:
+        raise FallbackNeeded("the edge's ends are not joined outside it")
+    stats["candidates"] += 1
+    darts = first + chain.darts() + last
+    if not _is_simple(g, darts):
+        raise FallbackNeeded("the edge's cycle is not simple")
+    return CompactCycle(g, _canonical_darts(darts))
+
+
 def min_separating_cycle_fast(ctx: PieceContext, region: int,
                               face_a: int, face_b: int,
                               stats: dict | None = None) -> CompactCycle:
@@ -421,10 +466,31 @@ def min_separating_cycle_fast(ctx: PieceContext, region: int,
       darts can meet X.
     - When X uses an external arc it has edges outside P, and the external
       entries are walked part by part.
+
+    A one-edge group, a leaf's call, is one search (`_one_edge_cycle`).
+    Its faces are the two faces of its edge e, and every cycle separating
+    them contains e (Jordan curve), so the cycle is e plus the canonical
+    path between e's ends over the piece's exterior graph: the real darts
+    of A minus e plus the external table of A, A the nearest ancestor that
+    has one.  The search walks the cycle the way the sweep would, so it
+    returns the sweep's own walk.  The X search would pick the end
+    x = min(u, v) by the vertex-index rule, and the sweep would run from
+    side 0 of x to side 1.  So when e's dart leaving x is on side 0 the
+    search runs from the other end y to x and e comes first; otherwise it runs
+    from x to y and e comes last.  The other direction would give the same
+    cycle.  Weight, edge count and the vertex-set rule do not depend on
+    direction.  Keys grow strictly along a path, since every arc adds an
+    edge, so tied shortest paths with one vertex set visit it in one order
+    and differ only in parallel edges, which the chord pass can add.  Their
+    tied set is then a product of choices at each place, and the
+    dart-sequence rule takes the smallest edge id at each place from either
+    end.
     """
     g = ctx.g
     if stats is None:
         stats = new_stats()
+    if ctx.ext_table is None:
+        return _one_edge_cycle(ctx, face_a, face_b, stats)
 
     real = region_subpiece(ctx.tree, region, ctx.group_edges)
     seeds = _face_seed_vertices(g, face_a, real)

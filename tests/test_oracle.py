@@ -16,6 +16,7 @@ from planarcut.generators import (grid_graph, random_delaunay_graph,
 from planarcut.oracle import (HostChain, MinCutOracle, PathMinIndex,
                               build_oracle)
 from planarcut.sep_cycle import FallbackNeeded, min_separating_cycle_safe
+from planarcut.subdivision import R
 from planarcut.weights import INF_EDGE
 
 
@@ -89,6 +90,12 @@ CROSS_CHECK_GRAPHS = {
 }
 
 
+def call_kind(ctx) -> str:
+    """A one-edge leaf's call, which the fast engine answers with one search
+    and no external table, or a merge step's."""
+    return "one-edge" if ctx.ext_table is None else "merge"
+
+
 @pytest.mark.parametrize("name,mode", [
     pytest.param(name, mode, id=name if mode == "cut" else f"{name}-mcb")
     for name in sorted(CROSS_CHECK_GRAPHS) for mode in ("cut", "mcb")])
@@ -96,19 +103,20 @@ def test_engines_agree_during_build(name, mode, monkeypatch):
     # the safe engine reads no distance tables, so this also checks which
     # table arcs the fast engine's crossing sweep may leave out
     fast = planarcut.oracle.min_separating_cycle_fast
-    calls = [0]
+    calls = Counter()
 
     def checked(ctx, region, fa, fb, stats=None):
         got = fast(ctx, region, fa, fb, stats=stats)
         want = min_separating_cycle_safe(ctx.g, ctx.tree, region, fa, fb)
         assert got.darts() == want.darts(), (region, fa, fb)
-        calls[0] += 1
+        calls[call_kind(ctx)] += 1
         return got
 
     monkeypatch.setattr(planarcut.oracle, "min_separating_cycle_fast",
                         checked)
     orc = build_oracle(CROSS_CHECK_GRAPHS[name](), mode=mode)
-    assert calls[0] == orc.stats["inserts"] > 0
+    assert calls.total() == orc.stats["inserts"]
+    assert calls["one-edge"] > 0 and calls["merge"] > 0, calls
 
 
 def test_region_subpiece_matches_home_rule(monkeypatch):
@@ -145,21 +153,22 @@ def test_fallback_to_safe_engine_keeps_answers(name, mode, monkeypatch):
     # every other call; the safe engine must then find the same cycles
     want = stored_answers(build_oracle(CROSS_CHECK_GRAPHS[name](), mode=mode))
     fast = planarcut.oracle.min_separating_cycle_fast
-    calls = [0]
-    raised = [0]
+    calls = Counter()
+    raised = Counter()
 
     def give_up_every_other_call(ctx, region, fa, fb, stats=None):
-        calls[0] += 1
-        if calls[0] % 2:
-            raised[0] += 1
+        kind = call_kind(ctx)
+        calls[kind] += 1
+        if calls[kind] % 2:
+            raised[kind] += 1
             raise FallbackNeeded("forced")
         return fast(ctx, region, fa, fb, stats=stats)
 
     monkeypatch.setattr(planarcut.oracle, "min_separating_cycle_fast",
                         give_up_every_other_call)
     orc = build_oracle(CROSS_CHECK_GRAPHS[name](), mode=mode)
-    assert raised[0] > 0
-    assert orc.stats["fallbacks"] == raised[0]
+    assert raised["one-edge"] > 0 and raised["merge"] > 0, raised
+    assert orc.stats["fallbacks"] == raised.total()
     assert stored_answers(orc) == want
 
 
@@ -209,6 +218,41 @@ def test_safe_cycles_same_weights(grid3, theta):
         safe = build_oracle(g, safe_cycles=True)
         for s, t in combinations(range(g.n), 2):
             assert fast.query_weight(s, t) == safe.query_weight(s, t)
+
+
+def test_one_edge_leaves_build_no_external_table(monkeypatch):
+    # a one-edge leaf's call is one search over its piece's exterior graph:
+    # one search and one candidate, and no table for the leaf
+    fast = planarcut.oracle.min_separating_cycle_fast
+    deltas = Counter()
+    leaves = []
+
+    def counted(ctx, region, fa, fb, stats=None):
+        before = (stats["dijkstras"], stats["candidates"],
+                  ctx.ddgs.stats["first_use_tables"])
+        got = fast(ctx, region, fa, fb, stats=stats)
+        if ctx.ext_table is None:
+            leaves.append(ctx.piece_id)
+            deltas[(stats["dijkstras"] - before[0],
+                    stats["candidates"] - before[1],
+                    ctx.ddgs.stats["first_use_tables"] - before[2])] += 1
+        return got
+
+    monkeypatch.setattr(planarcut.oracle, "min_separating_cycle_fast",
+                        counted)
+    builders = []
+    build_oracle(random_delaunay_graph(12, seed=0), observer=builders.append)
+    (b,) = builders
+    assert deltas == {(1, 1, 0): len(leaves)} and leaves
+    pieces = b.sd.pieces
+    one_edge = {p.id for p in pieces if len(p.edges) == 1}
+    assert set(leaves) <= one_edge
+    assert all(b.ddgs._ext[pid] is None for pid in one_edge)
+    tabled = [p for p in pieces if p.parent >= 0 and len(p.edges) <= R
+              for t in (b.ddgs._int[p.id], b.ddgs._ext[p.id])
+              if t is not None]
+    assert len(tabled) == b.ddgs.stats["first_use_tables"] > 0
+    assert all(len(p.edges) > 1 for p in tabled)
 
 
 def test_safe_cycles_build_no_first_use_table():

@@ -1,5 +1,6 @@
 import pytest
 
+import planarcut.sep_cycle
 from planarcut.baseline import dinic_min_cut
 from planarcut.ddg import build_ddgs
 from planarcut.generators import (grid_graph, random_delaunay_graph,
@@ -150,6 +151,55 @@ def test_fast_engine_with_sibling_tables():
                 assert fast.darts() == safe.darts()
                 checked += 1
     assert checked >= 4
+
+
+def is_rotation(a, b) -> bool:
+    return len(a) == len(b) and any(b[i:] + b[:i] == a
+                                    for i in range(len(b)))
+
+
+def test_one_edge_leaves_walk_as_the_sweep_walks(monkeypatch):
+    # a ring 0-1-...-5 with edges 1-2 and 3-4 doubled, all of weight 1: the
+    # path closing edge 0 ties at two places.  Each one-edge leaf reads no
+    # external table, finds the safe engine's cycle, and walks it in the
+    # orientation of the safe engine's crossing sweep
+    one = TieBreakWeight.of(1)
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 2), (3, 4)]
+    g = build_embedding(6, edges, [one] * len(edges),
+                        [[0, 5], [0, 1, 6], [1, 2, 6], [2, 3, 7], [3, 4, 7],
+                         [4, 5]])
+    assert len(g.faces) == 4
+    sd = recursive_subdivide(g)
+    ddgs = build_ddgs(sd)
+    tree = RegionTree(g)
+    walks = []
+    canonical = planarcut.sep_cycle._canonical_darts
+
+    def recorded(darts):
+        walks.append(list(darts))
+        return canonical(darts)
+
+    monkeypatch.setattr(planarcut.sep_cycle, "_canonical_darts", recorded)
+    cycles = {}
+    for piece in sd.pieces:
+        if not piece.is_leaf:
+            continue
+        (e,) = piece.edges
+        fa, fb = sorted((g.face_of[2 * e], g.face_of[2 * e + 1]))
+        ctx = PieceContext(g, tree, sd, ddgs, piece.id, piece.edges)
+        assert ctx.ext_table is None
+        walks.clear()
+        fast = min_separating_cycle_fast(ctx, tree.root, fa, fb)
+        safe = min_separating_cycle_safe(g, tree, tree.root, fa, fb)
+        assert fast.darts() == safe.darts()
+        # the faces of an edge meet at its ends: one crossing vertex, one
+        # candidate in the safe sweep
+        fast_walk, safe_walk = walks
+        assert is_rotation(fast_walk, safe_walk), e
+        cycles[e] = fast.edge_ids()
+    assert len(cycles) == len(edges)
+    assert ddgs.stats["first_use_tables"] == 0
+    assert cycles[0] == {0, 1, 2, 3, 4, 5}
 
 
 def test_zero_length_cut_sides():
