@@ -220,19 +220,24 @@ class PathMinIndex:
     on their tree path.  The merge tree is full binary: its in-order
     alternates leaves and merge steps, and the lca of two leaves is the
     latest step between them.  A query is one range maximum over the gaps
-    between leaf slots, read from a sparse table of step numbers.
+    between leaf slots, read from a sparse table of step numbers; it
+    returns the step, and `edge_of_step` maps a step to the index of the
+    edge merged there, so callers keep their per-edge data in flat arrays
+    in step order.
     """
 
     def __init__(self, n: int, edges):
-        # edges: (weight, payload, u, v) with tuple weights
-        order = sorted(range(len(edges)),
-                       key=lambda i: tuple(-c for c in edges[i][0]) + (i,))
+        # edges: (weight, payload, u, v) with tuple weights; the payload is
+        # the caller's and is not read here.  A reversed sort stays stable,
+        # so equal weights keep index order
+        weight = [e[0] for e in edges]
+        order = sorted(range(len(edges)), key=weight.__getitem__,
+                       reverse=True)
         root_of = list(range(n))
         size = [1] * n
         kids = []
-        self.label = []
         for i in order:
-            w, payload, u, v = edges[i]
+            _, _, u, v = edges[i]
             ru, rv = self._find(root_of, u), self._find(root_of, v)
             if ru == rv:
                 raise InternalAssertion("cycle in path-min edge set")
@@ -241,7 +246,7 @@ class PathMinIndex:
             root_of.append(node)
             size.append(size[ru] + size[rv])
             kids.append((ru, rv))
-            self.label.append((w, payload))
+        self.edge_of_step = order
         # top down from the last step: a node's leaves take the slots from
         # its offset on, the left child's first; its gap follows them
         offset = [0] * len(root_of)
@@ -270,8 +275,8 @@ class PathMinIndex:
             x = root_of[x]
         return x
 
-    def query(self, u: int, v: int):
-        """(weight, payload) of the minimum edge on the u-v tree path."""
+    def query(self, u: int, v: int) -> int:
+        """The merge step of the minimum edge on the u-v tree path."""
         a, b = self.slot[u], self.slot[v]
         if a > b:
             a, b = b, a
@@ -279,7 +284,7 @@ class PathMinIndex:
         row = self.table[j]
         x = row[a]
         y = row[b - (1 << j)]
-        return self.label[x if x > y else y]
+        return x if x > y else y
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +529,18 @@ class MinCutOracle:
         self.n_nodes = n_nodes
         self.scale = scale
         self.gh_edges = gh_edges          # (u, v, base, eps, table index)
+        # per merge step of the path-minimum index: the cut weight (a list,
+        # as built weights may exceed 2^63) and the cycle's table index
         self._pmi = None
+        self._step_weight = []
+        self._step_cycle = array("i")
         if mode == "cut":
             self._pmi = PathMinIndex(n_nodes,
                                      [((base, eps), idx, u, v)
                                       for u, v, base, eps, idx in gh_edges])
+            steps = [gh_edges[i] for i in self._pmi.edge_of_step]
+            self._step_weight = [rec[2] for rec in steps]
+            self._step_cycle = array("i", [rec[4] for rec in steps])
         self._tables = tables
         self._edge_of_dart = edge_of_dart
         self.stats = stats
@@ -546,17 +558,26 @@ class MinCutOracle:
             raise SameVertex(f"{s}")
 
     def query_weight(self, s: int, t: int) -> int:
-        """Minimum st-cut weight as a scaled integer."""
-        self._check_pair(s, t)
-        (base, eps), _ = self._pmi.query(s, t)
-        return base
+        """Minimum st-cut weight as a scaled integer: one range test, one
+        path-minimum query for the merge step, one read of that step's
+        weight.  A pair that fails the test raises through `_check_pair`."""
+        n = self.n_nodes
+        if not (s != t and 0 <= s < n and 0 <= t < n
+                and self.mode == "cut"):
+            self._check_pair(s, t)
+        return self._step_weight[self._pmi.query(s, t)]
 
     def report_cut(self, s: int, t: int) -> list[int]:
-        """Edge ids of a minimum st-cut; touched work is recorded in
-        last_report_counter and stays proportional to the cut size."""
-        self._check_pair(s, t)
-        _, idx = self._pmi.query(s, t)
-        return self._expand_to_edges(idx)
+        """Edge ids of a minimum st-cut: the pair is checked and its merge
+        step found as in `query_weight`, then the step's cycle is expanded.
+        Touched work is recorded in last_report_counter and stays
+        proportional to the cut size."""
+        n = self.n_nodes
+        if not (s != t and 0 <= s < n and 0 <= t < n
+                and self.mode == "cut"):
+            self._check_pair(s, t)
+        return self._expand_to_edges(
+            self._step_cycle[self._pmi.query(s, t)])
 
     def _expand_to_edges(self, idx: int) -> list[int]:
         darts, touched = self._tables.expand_index(idx)
@@ -688,6 +709,26 @@ class MinCutOracle:
             raise _corrupt(f"a cycle dart lies outside the {nd} darts")
         if nd and min(edge_of_dart) < -1:
             raise _corrupt("negative edge id")
+        # the intervals must be a preorder of the cycles' nesting: expansion
+        # tests ancestry by containment and reroutes deepest first.  Order
+        # the cycles by tin, then keep the enclosing intervals on a stack
+        by_tin = [-1] * n_cycles
+        for idx, (a, b) in enumerate(zip(tables.tin, tables.tout)):
+            if not 0 <= a <= b < n_cycles or by_tin[a] != -1:
+                raise _corrupt(f"cycle {idx} has interval [{a}, {b}]")
+            by_tin[a] = idx
+        ends: list[int] = []
+        for idx in by_tin:
+            a, b = tables.tin[idx], tables.tout[idx]
+            while ends and ends[-1] < a:
+                ends.pop()
+            if ends and b > ends[-1]:
+                raise _corrupt(f"cycle {idx} interval [{a}, {b}] crosses "
+                               "an enclosing one")
+            if tables.depth[idx] != len(ends):
+                raise _corrupt(f"cycle {idx} has depth {tables.depth[idx]} "
+                               f"but nests {len(ends)} deep")
+            ends.append(b)
         tables.finalize()
         if not tables.owner.keys() >= set(tables.d2) - {-1}:
             raise _corrupt("a cycle continues on a dart no cycle stores")

@@ -126,6 +126,11 @@ def put_int(data: bytes, offset: int, value: int) -> bytes:
         data[offset + 8:]
 
 
+def add_to_int(data: bytes, offset: int, delta: int) -> bytes:
+    value = int.from_bytes(data[offset:offset + 8], "little", signed=True)
+    return put_int(data, offset, value + delta)
+
+
 def orphan_reported_dart(data: bytes, first: int) -> bytes:
     """Map the first dart of the cycle that tree edge 0 reports to -1, the
     edge id of added structure; the file closes with the dart count and
@@ -155,6 +160,11 @@ CORRUPTIONS = {
     "reported-dart-added-structure": orphan_reported_dart,
     # tree edge 1 gets the endpoints of tree edge 0
     "tree-edges-close-a-cycle": lambda d, first: d[:72] + d[32:48] + d[88:],
+    # the first cycle is a deepest one, interval [7, 7] at depth 3, and the
+    # last child of [2, 7]
+    "interval-tin-after-tout": lambda d, first: add_to_int(d, first + 32, -1),
+    "intervals-cross": lambda d, first: add_to_int(d, first + 32, 1),
+    "wrong-depth": lambda d, first: add_to_int(d, first + 40, 1),
 }
 
 

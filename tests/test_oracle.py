@@ -570,7 +570,10 @@ def test_path_min_index_random_trees():
 
         for _ in range(60):
             s, t = rng.sample(range(n), 2)
-            assert pmi.query(s, t) == naive(s, t), (trial, shape, s, t)
+            step = pmi.query(s, t)
+            assert type(step) is int and step in range(n - 1), (trial, step)
+            w, payload, _, _ = edges[pmi.edge_of_step[step]]
+            assert (w, payload) == naive(s, t), (trial, shape, s, t)
 
 
 def test_path_min_index_rejects_cycles():
@@ -627,14 +630,36 @@ def test_load_rejects_truncated_files(tmp_path, grid3, mode):
 
 # -- input validation -------------------------------------------------------------
 
-def test_query_validation(delaunay12, delaunay12_oracle):
-    orc = delaunay12_oracle
-    with pytest.raises(SameVertex):
-        orc.query_weight(3, 3)
-    with pytest.raises(UnknownVertex):
-        orc.query_weight(0, delaunay12.n)
-    with pytest.raises(UnknownVertex):
-        orc.report_cut(-1, 2)
+def test_query_validation(tmp_path, delaunay12, delaunay12_oracle):
+    # every bad pair on both query methods, on a built and a loaded oracle
+    # of each mode: the fast range test must hand each one to the typed
+    # errors, never to a silent read such as slot[-1]
+    def loaded(orc, name):
+        p = tmp_path / name
+        orc.save(str(p))
+        return MinCutOracle.load(str(p))
+
+    n = delaunay12.n
+    cut = [delaunay12_oracle, loaded(delaunay12_oracle, "cut.pco")]
+    built_mcb = build_oracle(delaunay12, mode="mcb")
+    mcb = [built_mcb, loaded(built_mcb, "mcb.pco")]
+    bad = [((3, 3), SameVertex), ((0, 0), SameVertex),
+           ((n - 1, n - 1), SameVertex),
+           ((-1, 0), UnknownVertex), ((0, -1), UnknownVertex),
+           ((n, 0), UnknownVertex), ((0, n), UnknownVertex)]
+    for orc in cut:
+        for method in (orc.query_weight, orc.report_cut):
+            for (s, t), err in bad:
+                with pytest.raises(InputError) as info:
+                    method(s, t)
+                assert type(info.value) is err, (method, s, t)
+            method(0, n - 1)
+    for orc in mcb:
+        for method in (orc.query_weight, orc.report_cut):
+            for s, t in [(0, 1), (0, 0), (-1, 0), (0, orc.n_nodes)]:
+                with pytest.raises(InputError) as info:
+                    method(s, t)
+                assert type(info.value) is InputError, (method, s, t)
 
 
 def test_mode_mismatch(tri):
