@@ -61,7 +61,7 @@ def _dims(spec: str, what: str) -> tuple[int, int]:
             if r < 1 or c < 1 or r * c < 2:
                 raise ValueError
             return r, c
-    except ValueError:
+    except (ValueError, OverflowError):
         pass
     raise InputError(f"bad {what} size {spec!r}")
 
@@ -76,7 +76,7 @@ def resolve_graph(arg: str, seed: int) -> PlanarEmbedding:
         if kind == "delaunay":
             try:
                 n = int(float(spec))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise InputError(f"bad delaunay size {spec!r}") from None
             if n < 3:
                 raise InputError("delaunay spec needs at least 3 points")
@@ -220,11 +220,14 @@ def _verify_one(spec: str, seed: int, pairs_cap: int) -> tuple[int, int]:
 
 
 def _cmd_verify(args) -> int:
+    if args.pairs < 0:
+        raise InputError("--pairs must be at least 0")
     tasks = [(args.graph, args.seed + i, args.pairs)
              for i in range(args.fixtures)]
     if args.jobs > 1 and len(tasks) > 1:
         import multiprocessing as mp
-        with mp.get_context("fork").Pool(args.jobs) as pool:
+        jobs = min(args.jobs, len(tasks))
+        with mp.get_context("fork").Pool(jobs) as pool:
             results = pool.starmap(_verify_one, tasks)
     else:
         results = [_verify_one(*t) for t in tasks]
@@ -254,7 +257,7 @@ def _bench_graph(gen: str, n: int, seed: int) -> PlanarEmbedding:
 def _cmd_bench(args) -> int:
     try:
         sizes = [int(float(s)) for s in args.sizes.split(",") if s]
-    except ValueError:
+    except (ValueError, OverflowError):
         raise InputError(f"bad --sizes {args.sizes!r}") from None
     if not sizes:
         raise InputError("--sizes is empty")

@@ -7,25 +7,25 @@ are assembled bottom-up by running the lexicographic Dijkstra over the
 children's tables; external tables run top-down over the parent's external
 table plus the sibling internal tables.
 
-Only big pieces, those with more than `R` edges and the root, get their
-tables up front (`build_ddgs`); they are most of the search work and few of
-the pieces.  A small piece of at most `R` edges gets its tables on first use
-(`DDGSet.int_table`, `DDGSet.ext_table`), and only the level loop's fast
-engine asks for them.  Wherever a small piece would enter a search as its
-internal table it enters as its real darts instead, one adjacency row per
-dart, so parallel edges stay apart.  A small piece's internal table is a
-search over its own darts.  Its external table is a search over its
-exterior graph (`DDGSet.ext_graph`): the real darts of A minus the piece
-plus the external table of A, where A is its nearest ancestor that already
-has an external table.  That search is exact: a canonical path outside
-the piece, split at the boundary vertices of A it passes, is a chain of
-real darts of A and of direct entries of A's external table; and an
-interior vertex of such an entry is touched only by edges outside A, so it
-is never a boundary vertex of the piece (every one of those is touched by
-a piece edge).  Every table therefore holds the same paths whichever way
-it was built.  A one-edge leaf gets no external table: the fast engine's
-call for it searches the exterior graph once, from one end of the edge to
-the other (see `sep_cycle`).
+Only big pieces (`Piece.tabled`: the root and those with more than
+`subdivision.R` edges) get their tables up front (`build_ddgs`); they are
+most of the search work and few of the pieces.  A small piece gets its
+tables on first use (`DDGSet.int_table`, `DDGSet.ext_table`), and only the
+level loop's fast engine asks for them.  Wherever a small piece would enter
+a search as its internal table it enters as its real darts instead, one
+adjacency row per dart, so parallel edges stay apart.  A small piece's
+internal table is a search over its own darts.  Its external table is a
+search over its exterior graph (`DDGSet.ext_graph`): the real darts of A
+minus the piece plus the external table of A, where A is its nearest
+ancestor that already has an external table.  That search is exact: a
+canonical path outside the piece, split at the boundary vertices of A it
+passes, is a chain of real darts of A and of direct entries of A's external
+table; and an interior vertex of such an entry is touched only by edges
+outside A, so it is never a boundary vertex of the piece (every one of
+those is touched by a piece edge).  Every table therefore holds the same
+paths whichever way it was built.  A one-edge leaf gets no external table:
+the fast engine's call for it searches the exterior graph once, from one
+end of the edge to the other (see `sep_cycle`).
 
 A table entry is an `Arc` (see `weights`): a real dart at the leaves, above
 them the tuple of the entries its search chain took.  It remembers its
@@ -54,7 +54,7 @@ arc's own entry.  Other chains get no entry.
 from __future__ import annotations
 
 from .errors import InternalAssertion
-from .subdivision import R, Piece, Subdivision
+from .subdivision import Piece, Subdivision
 from .weights import Arc, PathChain, dart_adjacency, dart_arcs, lex_dijkstra
 
 
@@ -122,10 +122,6 @@ def _all_pairs(arcs, boundary) -> Table:
 def _rows(adj: dict):
     """The node -> rows search graph of an adjacency map."""
     return lambda v: adj.get(v, ())
-
-
-def _is_small(piece: Piece) -> bool:
-    return piece.parent >= 0 and len(piece.edges) <= R
 
 
 class DDGSet:
@@ -204,7 +200,7 @@ class DDGSet:
         internal table entries, a small piece's real darts."""
         pieces = self.sd.pieces
         for c in pids:
-            if _is_small(pieces[c]):
+            if not pieces[c].tabled:
                 dart_adjacency(self.arcs, pieces[c].edges, adj)
             else:
                 table_adjacency([self._int[c]], adj)
@@ -221,7 +217,7 @@ def build_ddgs(sd: Subdivision) -> DDGSet:
     for level in reversed(levels):
         for pid in level:
             piece = sd.pieces[pid]
-            if not _is_small(piece):
+            if piece.tabled:
                 adj = ddg._piece_arcs(piece.children, {})
                 ddg._int[pid] = ddg._tabulate(_rows(adj), piece,
                                               "int_entries")
@@ -231,7 +227,7 @@ def build_ddgs(sd: Subdivision) -> DDGSet:
             piece = sd.pieces[pid]
             if piece.parent < 0:
                 ddg._ext[pid] = {}
-            elif not _is_small(piece):
+            elif piece.tabled:
                 parent = sd.pieces[piece.parent]
                 adj = table_adjacency([ddg._ext[parent.id]])
                 ddg._piece_arcs([c for c in parent.children if c != pid], adj)

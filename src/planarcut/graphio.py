@@ -126,7 +126,11 @@ def write_graph(g: PlanarEmbedding) -> str:
 
 def load_graph(path: str) -> PlanarEmbedding:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: graph file is not UTF-8 text") from None
+    return parse_graph(text)
 
 
 def save_graph(g: PlanarEmbedding, path: str) -> None:

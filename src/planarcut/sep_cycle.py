@@ -303,11 +303,9 @@ def _best_target_chain(res: dict, targets) -> PathChain | None:
 
 def min_separating_cycle_safe(g: PlanarEmbedding, tree: RegionTree,
                               region: int, face_a: int, face_b: int,
-                              stats: dict | None = None) -> CompactCycle:
+                              stats: dict) -> CompactCycle:
     """Minimum cycle separating two faces of one region, searching every
     region edge.  Independent of the subdivision and distance tables."""
-    if stats is None:
-        stats = new_stats()
     edges = region_subpiece(tree, region, range(g.m))
 
     arcs = dart_arcs(g)
@@ -434,7 +432,7 @@ def _one_edge_cycle(ctx: PieceContext, face_a: int, face_b: int,
 
 def min_separating_cycle_fast(ctx: PieceContext, region: int,
                               face_a: int, face_b: int,
-                              stats: dict | None = None) -> CompactCycle:
+                              stats: dict) -> CompactCycle:
     """Minimum cycle separating two faces of `region`, searching the
     region's subpiece directly and everything else through table arcs.
 
@@ -487,8 +485,6 @@ def min_separating_cycle_fast(ctx: PieceContext, region: int,
     end.
     """
     g = ctx.g
-    if stats is None:
-        stats = new_stats()
     if ctx.ext_table is None:
         return _one_edge_cycle(ctx, face_a, face_b, stats)
 

@@ -20,6 +20,13 @@ edge bipartition by BFS edge order.
 Boundary vertices are always recomputed from global incidence: a vertex is
 boundary for a piece exactly when some edge outside the piece touches it,
 that is, when fewer than all of its darts are piece darts.
+
+Splits work on host vertex and edge ids.  `Subdivision.edge_leaf` is the
+edge owner array: it starts as all 0, the root, and each new child writes
+its id over its edges.  Pieces split in FIFO order, so the piece being
+split owns exactly the edges that name it, and its BFS passes walk host
+rotations keeping the darts whose edge it owns.  Once the queue is empty
+every edge is owned by its one-edge leaf.
 """
 
 from __future__ import annotations
@@ -52,17 +59,10 @@ class Piece:
     def is_leaf(self) -> bool:
         return not self.children
 
-
-class SubPiece:
-    """Embedded subgraph of the host induced by a piece's edges."""
-
-    __slots__ = ("sub", "v_host", "e_host")
-
-    def __init__(self, sub: PlanarEmbedding, v_host: list[int],
-                 e_host: list[int]):
-        self.sub = sub
-        self.v_host = v_host
-        self.e_host = e_host
+    @property
+    def tabled(self) -> bool:
+        """Whether the piece gets its distance tables up front (see R)."""
+        return self.parent < 0 or len(self.edges) > R
 
 
 class Subdivision:
@@ -70,7 +70,8 @@ class Subdivision:
         self.g = g
         self.pieces: list[Piece] = []
         self.root = 0
-        self.edge_leaf: list[int] = [-1] * g.m
+        # edge -> owning piece; the leaf once the build is done
+        self.edge_leaf: list[int] = [0] * g.m
         self.stats: dict = {"fallback_splits": 0, "level_splits": 0}
 
     def levels(self) -> list[list[int]]:
@@ -80,44 +81,27 @@ class Subdivision:
             out[p.depth].append(p.id)
         return out
 
-    def subpiece(self, pid: int) -> SubPiece:
-        """The embedded subgraph of one piece, built afresh on each call."""
-        g = self.g
-        v_host, e_host, head, out = _local_indices(g, self.pieces[pid])
-        sub = PlanarEmbedding(len(v_host), head, out,
-                              [g.weights[e] for e in e_host], g.scale)
-        return SubPiece(sub, v_host, e_host)
-
     def hole_faces(self, pid: int) -> int:
-        """Faces of the piece's own embedding that touch its boundary."""
-        sp = self.subpiece(pid)
-        bset = set(self.pieces[pid].boundary)
-        return sum(1 for orbit in sp.sub.faces
-                   if any(sp.v_host[sp.sub.head[d]] in bset for d in orbit))
-
-
-def _local_indices(g: PlanarEmbedding, piece: Piece) -> tuple[
-        list[int], list[int], list[int], list[list[int]]]:
-    """A piece in local indices, as (v_host, e_host, head, out): local
-    vertex i is host vertex v_host[i], local edge j is host edge e_host[j]
-    with darts 2j and 2j + 1, and out keeps the host's rotation order."""
-    v_host = piece.vertices
-    v_sub = {h: i for i, h in enumerate(v_host)}
-    e_host = piece.edges
-    e_sub = {h: i for i, h in enumerate(e_host)}
-    out: list[list[int]] = []
-    for hv in v_host:
-        row = []
-        for d in g.out[hv]:
-            se = e_sub.get(d >> 1)
-            if se is not None:
-                row.append(2 * se + (d & 1))
-        out.append(row)
-    head = [0] * (2 * len(e_host))
-    for se, he in enumerate(e_host):
-        head[2 * se] = v_sub[g.head[2 * he]]
-        head[2 * se + 1] = v_sub[g.head[2 * he + 1]]
-    return v_host, e_host, head, out
+        """Faces of the piece's own embedding that touch its boundary,
+        traced on the host's rotations cut down to the piece's darts."""
+        g = self.g
+        piece = self.pieces[pid]
+        inside = set(piece.edges)
+        bset = set(piece.boundary)
+        rot = {v: [d for d in g.out[v] if d >> 1 in inside]
+               for v in piece.vertices}
+        seen: set[int] = set()
+        holes = 0
+        for d0 in (2 * e + k for e in piece.edges for k in (0, 1)):
+            touches = False
+            d = d0
+            while d not in seen:
+                seen.add(d)
+                v = g.head[d]
+                touches = touches or v in bset
+                d = rot[v][(rot[v].index(d ^ 1) + 1) % len(rot[v])]
+            holes += touches
+        return holes
 
 
 # -- recursive construction ------------------------------------------------------
@@ -134,8 +118,6 @@ def recursive_subdivide(g: PlanarEmbedding) -> Subdivision:
         pid = queue.popleft()
         piece = sd.pieces[pid]
         if len(piece.edges) <= 1:
-            if piece.edges:
-                sd.edge_leaf[piece.edges[0]] = pid
             continue
         groups, rule = _split(sd, piece)
         # a group holding the whole piece would requeue it forever
@@ -147,22 +129,20 @@ def recursive_subdivide(g: PlanarEmbedding) -> Subdivision:
             sd.pieces.append(child)
             piece.children.append(child.id)
             _set_vertices(g, child)
+            for e in child.edges:
+                sd.edge_leaf[e] = child.id
             queue.append(child.id)
     _check_partition(sd)
     depths = [p.depth for p in sd.pieces]
     sd.stats["pieces"] = len(sd.pieces)
     sd.stats["depth"] = max(depths)
     sd.stats["max_boundary"] = max(len(p.boundary) for p in sd.pieces)
-    tabled = [p for p in sd.pieces if _is_tabled(p)]
+    tabled = [p for p in sd.pieces if p.tabled]
     sd.stats["boundary_square_sum"] = sum(len(p.boundary) ** 2
                                           for p in tabled)
     sd.stats["max_boundary_ratio"] = round(max(
         len(p.boundary) / len(p.edges) ** 0.5 for p in tabled), 3)
     return sd
-
-
-def _is_tabled(piece: Piece) -> bool:
-    return piece.parent < 0 or len(piece.edges) > R
 
 
 def _split(sd: Subdivision, piece: Piece) -> tuple[list[set[int]], str]:
@@ -214,20 +194,25 @@ def _connected_edge_groups(g: PlanarEmbedding, edges: set[int]) -> list[set[int]
     return groups
 
 
-def _bfs_farthest(head: list[int], out: list[list[int]],
-                  start: int) -> tuple[int, list[int]]:
-    dist = [-1] * len(out)
-    dist[start] = 0
+def _bfs_farthest(g: PlanarEmbedding, owner: list[int], pid: int,
+                  start: int) -> tuple[int, dict[int, int]]:
+    """The last vertex a BFS from `start` over the edges that `owner`
+    gives to piece `pid` reaches, and the hop distance of every vertex it
+    reaches."""
+    head = g.head
+    out = g.out
+    dist = {start: 0}
     q = deque([start])
     last = start
     while q:
         u = q.popleft()
         last = u
         for d in out[u]:
-            v = head[d]
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                q.append(v)
+            if owner[d >> 1] == pid:
+                v = head[d]
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    q.append(v)
     return last, dist
 
 
@@ -237,38 +222,45 @@ def _level_split(sd: Subdivision, piece: Piece) -> list[set[int]] | None:
     either end of an approximate diameter.  An edge lies below level L when
     its nearer endpoint does; the cut vertices of L are the level-L
     vertices with an edge at or above L."""
-    v_host, e_host, head, out = _local_indices(sd.g, piece)
+    g = sd.g
+    head = g.head
+    owner = sd.edge_leaf
+    pid = piece.id
     bset = set(piece.boundary)
-    inherited = [h in bset for h in v_host]
-    cap = max(2, (len(e_host) * 17) // 20)
-    a, _ = _bfs_farthest(head, out, 0)
-    b, dist_a = _bfs_farthest(head, out, a)
-    _, dist_b = _bfs_farthest(head, out, b)
+    cap = max(2, (len(piece.edges) * 17) // 20)
+    a, _ = _bfs_farthest(g, owner, pid, piece.vertices[0])
+    b, dist_a = _bfs_farthest(g, owner, pid, a)
+    _, dist_b = _bfs_farthest(g, owner, pid, b)
     best = None
     for dist in (dist_a, dist_b):
-        got = _best_level(head, dist, inherited, cap)
+        got = _best_level(head, piece.edges, dist, bset, cap)
         if got is not None and (best is None or got[:2] < best[:2]):
             best = got + (dist,)
     if best is None:
         return None
     _, _, level, dist = best
     below, above = set(), set()
-    for he, u, v in zip(e_host, head[1::2], head[::2]):
-        (below if min(dist[u], dist[v]) < level else above).add(he)
+    for e in piece.edges:
+        near = min(dist[head[2 * e + 1]], dist[head[2 * e]])
+        (below if near < level else above).add(e)
     # the edges below a level reach the source through BFS tree edges
-    return [below] + _connected_edge_groups(sd.g, above)
+    return [below] + _connected_edge_groups(g, above)
 
 
-def _best_level(head: list[int], dist: list[int], inherited: list[bool],
-                cap: int) -> tuple[int, int, int] | None:
+def _best_level(head: list[int], edges: list[int], dist: dict[int, int],
+                boundary: set[int], cap: int) -> tuple[int, int, int] | None:
     """(largest side boundary, larger side's edges, level) of the best cut
-    under `cap`, scored for every level by prefix sums in O(n + m)."""
-    m = len(head) // 2
-    top = max(dist)
+    of `edges` under `cap`, scored for every level by prefix sums in
+    O(n + m).  `dist` holds the level of every vertex of `edges`, and
+    `boundary` their inherited boundary vertices."""
+    m = len(edges)
+    top = max(dist.values())
     below_at = [0] * (top + 1)     # edges by nearer-endpoint level
     # level of a vertex's highest edge: its parent edge's at least
-    reach = [max(d - 1, 0) for d in dist]
-    for u, v in zip(head[1::2], head[::2]):
+    reach = {v: max(d - 1, 0) for v, d in dist.items()}
+    for e in edges:
+        u = head[2 * e + 1]
+        v = head[2 * e]
         du = dist[u]
         dv = dist[v]
         if du <= dv:
@@ -281,12 +273,12 @@ def _best_level(head: list[int], dist: list[int], inherited: list[bool],
     held_at = [0] * (top + 1)      # inherited boundary vertices by level
     held_reach = [0] * (top + 1)   # ... by the level of their highest edge
     cut_at = [0] * (top + 1)       # other vertices cut at their own level
-    for v in range(len(dist)):
-        if inherited[v]:
-            held_at[dist[v]] += 1
+    for v, d in dist.items():
+        if v in boundary:
+            held_at[d] += 1
             held_reach[reach[v]] += 1
-        elif reach[v] == dist[v]:
-            cut_at[dist[v]] += 1
+        elif reach[v] == d:
+            cut_at[d] += 1
     best = None
     below = 0
     held_below = held_at[0]
@@ -309,7 +301,7 @@ def _best_level(head: list[int], dist: list[int], inherited: list[bool],
 def _fallback_split(sd: Subdivision, piece: Piece) -> list[set[int]]:
     """Connected halves by a BFS edge order."""
     g = sd.g
-    edge_set = set(piece.edges)
+    owner = sd.edge_leaf
     order = []
     seen = set()
     start = piece.edges[0]
@@ -321,7 +313,7 @@ def _fallback_split(sd: Subdivision, piece: Piece) -> list[set[int]]:
         for x in g.endpoints(e):
             for d in g.out[x]:
                 e2 = d >> 1
-                if e2 in edge_set and e2 not in seen:
+                if owner[e2] == piece.id and e2 not in seen:
                     seen.add(e2)
                     q.append(e2)
     half = len(order) // 2
@@ -341,5 +333,6 @@ def _check_partition(sd: Subdivision) -> None:
             combined.extend(sd.pieces[c].edges)
         if sorted(combined) != piece.edges:
             raise InternalAssertion(f"children of piece {piece.id} do not partition it")
-    if any(l < 0 for l in sd.edge_leaf):
-        raise InternalAssertion("some edge has no leaf piece")
+    for e, pid in enumerate(sd.edge_leaf):
+        if sd.pieces[pid].edges != [e]:
+            raise InternalAssertion(f"edge {e} is not owned by its leaf")

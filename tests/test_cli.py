@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -89,6 +90,15 @@ def test_total_weight_bound_exit_code(tmp_path, capsys):
 def test_missing_file_exit_code(capsys):
     assert main(["build", "no/such/file.g", "-o", "x.pco"]) == 2
     assert main(["query", "no/such/oracle.pco", "0", "1"]) == 2
+
+
+def test_non_utf8_graph_file(tmp_path):
+    p = tmp_path / "utf16.g"
+    p.write_bytes(b"\xff\xfe" + "2 1\n0 1 1\n0\n0\n".encode("utf-16-le"))
+    proc = run_cli("ghtree", str(p))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "not UTF-8" in proc.stderr
 
 
 def test_truncated_oracle_exit_code(tmp_path, single_edge_file, capsys):
@@ -190,6 +200,49 @@ def test_bad_generator_spec(capsys):
     assert main(["ghtree", "torus:9"]) == 2
     assert main(["ghtree", "grid:x"]) == 2
     assert main(["mcb", "delaunay:2"]) == 2
+    for spec in ("grid:inf", "grid:-inf", "grid:nan", "delaunay:inf",
+                 "delaunay:nan", "random:inf"):
+        assert main(["ghtree", spec]) == 2, spec
+        assert "bad" in capsys.readouterr().err
+
+
+def test_bad_bench_sizes(capsys):
+    for sizes in ("inf", "1e9999", "-inf", "x"):
+        assert main(["bench", f"--sizes={sizes}"]) == 2, sizes
+        assert "bad --sizes" in capsys.readouterr().err
+
+
+def test_verify_negative_pairs(capsys):
+    assert main(["verify", "grid:3,3", "--pairs", "-1"]) == 2
+    assert "--pairs" in capsys.readouterr().err
+
+
+def test_verify_pool_no_larger_than_fixtures(monkeypatch, capsys):
+    # a fake pool records its size and runs the fixtures in this process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*t) for t in tasks]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context",
+                        lambda method: FakeContext)
+    assert main(["verify", "grid:3,3", "--pairs", "3", "--fixtures", "2",
+                 "--jobs", "64"]) == 0
+    assert sizes == [2]
+    assert "2 fixtures" in capsys.readouterr().out
 
 
 def test_bench_table(capsys):

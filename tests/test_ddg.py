@@ -2,7 +2,7 @@ import pytest
 
 from _search_reference import (ddg_dijkstra, graph_adjacency,
                                parallel_zero_graph, tripled_zero_graph)
-from planarcut import ddg as ddg_module
+from planarcut import subdivision
 from planarcut import weights
 from planarcut.ddg import build_ddgs, table_adjacency
 from planarcut.generators import (grid_graph, random_delaunay_graph,
@@ -13,8 +13,8 @@ from planarcut.subdivision import recursive_subdivide
 def each_r(monkeypatch):
     """Run a table check under the library's R and under R = 4, at which
     the small graphs here also have big pieces below the root."""
-    for r in (ddg_module.R, 4):
-        monkeypatch.setattr(ddg_module, "R", r)
+    for r in (subdivision.R, 4):
+        monkeypatch.setattr(subdivision, "R", r)
         yield r
 
 
@@ -297,7 +297,7 @@ def test_assembly_never_compares_a_path_with_itself(name, monkeypatch):
 
 
 def is_small(piece) -> bool:
-    return piece.parent >= 0 and len(piece.edges) <= ddg_module.R
+    return piece.parent >= 0 and len(piece.edges) <= subdivision.R
 
 
 @pytest.mark.parametrize("r", [2, 8, 10 ** 9])
@@ -306,7 +306,7 @@ def test_first_use_ext_tables_match_reference(name, r, monkeypatch):
     # a first-use external table searches A's external table plus the real
     # darts of A minus the piece; it must hold exactly the direct entries
     # of the top-down recursion over every piece's tables
-    monkeypatch.setattr(ddg_module, "R", r)
+    monkeypatch.setattr(subdivision, "R", r)
     g = DIRECT_GRAPHS[name]()
     sd = recursive_subdivide(g)
     small = [p for p in sd.pieces if is_small(p)]

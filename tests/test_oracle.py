@@ -15,7 +15,8 @@ from planarcut.generators import (grid_graph, random_delaunay_graph,
                                   triangle_graph)
 from planarcut.oracle import (HostChain, MinCutOracle, PathMinIndex,
                               build_oracle)
-from planarcut.sep_cycle import FallbackNeeded, min_separating_cycle_safe
+from planarcut.sep_cycle import (FallbackNeeded, min_separating_cycle_safe,
+                                 new_stats)
 from planarcut.subdivision import R
 from planarcut.weights import INF_EDGE
 
@@ -105,9 +106,10 @@ def test_engines_agree_during_build(name, mode, monkeypatch):
     fast = planarcut.oracle.min_separating_cycle_fast
     calls = Counter()
 
-    def checked(ctx, region, fa, fb, stats=None):
+    def checked(ctx, region, fa, fb, stats):
         got = fast(ctx, region, fa, fb, stats=stats)
-        want = min_separating_cycle_safe(ctx.g, ctx.tree, region, fa, fb)
+        want = min_separating_cycle_safe(ctx.g, ctx.tree, region, fa, fb,
+                                         new_stats())
         assert got.darts() == want.darts(), (region, fa, fb)
         calls[call_kind(ctx)] += 1
         return got
@@ -156,7 +158,7 @@ def test_fallback_to_safe_engine_keeps_answers(name, mode, monkeypatch):
     calls = Counter()
     raised = Counter()
 
-    def give_up_every_other_call(ctx, region, fa, fb, stats=None):
+    def give_up_every_other_call(ctx, region, fa, fb, stats):
         kind = call_kind(ctx)
         calls[kind] += 1
         if calls[kind] % 2:
@@ -227,7 +229,7 @@ def test_one_edge_leaves_build_no_external_table(monkeypatch):
     deltas = Counter()
     leaves = []
 
-    def counted(ctx, region, fa, fb, stats=None):
+    def counted(ctx, region, fa, fb, stats):
         before = (stats["dijkstras"], stats["candidates"],
                   ctx.ddgs.stats["first_use_tables"])
         got = fast(ctx, region, fa, fb, stats=stats)

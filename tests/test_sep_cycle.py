@@ -59,7 +59,8 @@ def test_safe_engine_matches_dual_min_cut(make):
     dg = dual(g)
     tree = RegionTree(g)
     for fa, fb in all_face_pairs(g):
-        cyc = min_separating_cycle_safe(g, tree, tree.root, fa, fb)
+        cyc = min_separating_cycle_safe(g, tree, tree.root, fa, fb,
+                                        new_stats())
         check_cycle_shape(g, cyc)
         assert separates(g, cyc.edge_ids(), fa, fb)
         inf, base, _, _ = unpack(cyc.weight)
@@ -87,9 +88,12 @@ def test_safe_engine_is_deterministic():
     g = random_delaunay_graph(12, 4)
     tree = RegionTree(g)
     for fa, fb in all_face_pairs(g)[:20]:
-        one = min_separating_cycle_safe(g, tree, tree.root, fa, fb)
-        two = min_separating_cycle_safe(g, tree, tree.root, fa, fb)
-        swapped = min_separating_cycle_safe(g, tree, tree.root, fb, fa)
+        one = min_separating_cycle_safe(g, tree, tree.root, fa, fb,
+                                        new_stats())
+        two = min_separating_cycle_safe(g, tree, tree.root, fa, fb,
+                                        new_stats())
+        swapped = min_separating_cycle_safe(g, tree, tree.root, fb, fa,
+                                            new_stats())
         assert one.darts() == two.darts()
         assert one.darts() == swapped.darts()
 
@@ -120,8 +124,10 @@ def test_fast_engine_matches_safe_on_whole_pieces(make):
             continue
         ctx = PieceContext(g, tree, sd, ddgs, piece.id, set(piece.edges))
         for fa, fb in group_face_pairs(g, piece.edges)[:4]:
-            safe = min_separating_cycle_safe(g, tree, tree.root, fa, fb)
-            fast = min_separating_cycle_fast(ctx, tree.root, fa, fb)
+            safe = min_separating_cycle_safe(g, tree, tree.root, fa, fb,
+                                             new_stats())
+            fast = min_separating_cycle_fast(ctx, tree.root, fa, fb,
+                                             new_stats())
             assert fast.darts() == safe.darts()
             assert fast.weight == safe.weight
             checked += 1
@@ -144,7 +150,8 @@ def test_fast_engine_with_sibling_tables():
             sibs = [c for c in piece.children if c != kid]
             ctx = PieceContext(g, tree, sd, ddgs, piece.id, group, sibs)
             for fa, fb in group_face_pairs(g, group)[:2]:
-                safe = min_separating_cycle_safe(g, tree, tree.root, fa, fb)
+                safe = min_separating_cycle_safe(g, tree, tree.root, fa, fb,
+                                                 new_stats())
                 stats = new_stats()
                 fast = min_separating_cycle_fast(ctx, tree.root, fa, fb,
                                                  stats=stats)
@@ -189,8 +196,9 @@ def test_one_edge_leaves_walk_as_the_sweep_walks(monkeypatch):
         ctx = PieceContext(g, tree, sd, ddgs, piece.id, piece.edges)
         assert ctx.ext_table is None
         walks.clear()
-        fast = min_separating_cycle_fast(ctx, tree.root, fa, fb)
-        safe = min_separating_cycle_safe(g, tree, tree.root, fa, fb)
+        fast = min_separating_cycle_fast(ctx, tree.root, fa, fb, new_stats())
+        safe = min_separating_cycle_safe(g, tree, tree.root, fa, fb,
+                                         new_stats())
         assert fast.darts() == safe.darts()
         # the faces of an edge meet at its ends: one crossing vertex, one
         # candidate in the safe sweep
@@ -213,7 +221,8 @@ def test_zero_length_cut_sides():
                                                         for d in g.faces[fb]}
         if not shared or shared_edges:
             continue
-        cyc = min_separating_cycle_safe(g, tree, tree.root, fa, fb)
+        cyc = min_separating_cycle_safe(g, tree, tree.root, fa, fb,
+                                        new_stats())
         assert separates(g, cyc.edge_ids(), fa, fb)
         assert shared & set(cyc.vertices(g))
 

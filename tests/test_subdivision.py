@@ -8,6 +8,7 @@ from planarcut.errors import InternalAssertion
 from planarcut.generators import (grid_graph, random_delaunay_graph,
                                   random_grid_subgraph, triangle_graph)
 from planarcut.oracle import HostChain
+from planarcut.planar_core import build_embedding
 from planarcut.subdivision import (R, recursive_subdivide, _bfs_farthest,
                                    _best_level, _connected_edge_groups,
                                    _dart_counts)
@@ -132,32 +133,32 @@ def test_separator_splits_used_on_larger_graphs():
     assert sd.stats["max_boundary"] <= g.n // 2
 
 
-def test_subpiece_embedding_faithful():
+def own_embedding(g, piece):
+    """The piece's edges as an embedding of their own, with the host's
+    rotation order at each vertex."""
+    v_sub = {v: i for i, v in enumerate(piece.vertices)}
+    e_sub = {e: i for i, e in enumerate(piece.edges)}
+    edges = [tuple(v_sub[x] for x in g.endpoints(e)) for e in piece.edges]
+    rotations = [[e_sub[d >> 1] for d in g.out[v] if (d >> 1) in e_sub]
+                 for v in piece.vertices]
+    return build_embedding(len(piece.vertices), edges,
+                           [g.weights[e] for e in piece.edges], rotations)
+
+
+def test_hole_faces_match_own_embedding():
+    # host-rotation face tracing must count the faces of the piece's own
+    # embedding that touch its boundary
     g = grid_graph(5, 4)
     sd = recursive_subdivide(g)
-    root_sp = sd.subpiece(sd.root)
     assert sd.hole_faces(sd.root) == 0
-    assert root_sp.sub.m == g.m and root_sp.sub.n == g.n
-    for pid in [c for c in sd.pieces[sd.root].children][:2]:
-        p = sd.pieces[pid]
-        sp = sd.subpiece(pid)
-        assert sp.sub.m == len(p.edges)
-        assert sp.sub.n == len(p.vertices)
-        total = 0
-        for e in range(sp.sub.m):
-            total = total + sp.sub.weights[e]
-        want = 0
-        for e in p.edges:
-            want = want + g.weights[e]
-        assert total == want
+    for p in sd.pieces:
+        sub = own_embedding(g, p)
+        bset = {p.vertices.index(v) for v in p.boundary}
+        want = sum(1 for orbit in sub.faces
+                   if any(sub.head[d] in bset for d in orbit))
+        assert sd.hole_faces(p.id) == want
         if p.boundary:
-            assert sd.hole_faces(pid) >= 1
-        # induced rotation order matches the host
-        for sv, hv in enumerate(sp.v_host):
-            host_seq = [e for e in (d >> 1 for d in g.out[hv])
-                        if e in set(p.edges)]
-            sub_seq = [sp.e_host[d >> 1] for d in sp.sub.out[sv]]
-            assert sub_seq == host_seq
+            assert want >= 1
 
 
 def test_levels_cover_each_edge_once_per_level():
@@ -228,15 +229,15 @@ def boundary_size(g, edges):
                if k < len(g.out[v]))
 
 
-def brute_best_level(g, sp, dist, cap):
+def brute_best_level(g, piece, dist, cap):
     """The best level by building both sides of every level outright."""
     best = None
-    for level in range(1, max(dist) + 1):
+    for level in range(1, max(dist.values()) + 1):
         below, above = set(), set()
-        for e in range(sp.sub.m):
-            u, v = sp.sub.endpoints(e)
+        for e in piece.edges:
+            u, v = g.endpoints(e)
             side = below if min(dist[u], dist[v]) < level else above
-            side.add(sp.e_host[e])
+            side.add(e)
         if not above:
             break
         larger = max(len(below), len(above))
@@ -257,15 +258,17 @@ def test_level_scores_match_built_sides(name):
     for piece in sd.pieces:
         if len(piece.edges) < 3:
             continue
-        sp = sd.subpiece(piece.id)
+        # once built, edge_leaf names leaves; give this piece its edges back
+        owner = [-1] * sd.g.m
+        for e in piece.edges:
+            owner[e] = piece.id
         bset = set(piece.boundary)
-        inherited = [h in bset for h in sp.v_host]
-        cap = max(2, sp.sub.m * 17 // 20)
-        head, out = sp.sub.head, sp.sub.out
-        a, _ = _bfs_farthest(head, out, 0)
-        for start in (a, sp.sub.n - 1):
-            _, dist = _bfs_farthest(head, out, start)
-            assert _best_level(head, dist, inherited, cap) == \
-                brute_best_level(sd.g, sp, dist, cap)
+        cap = max(2, len(piece.edges) * 17 // 20)
+        a, _ = _bfs_farthest(sd.g, owner, piece.id, piece.vertices[0])
+        for start in (a, piece.vertices[-1]):
+            _, dist = _bfs_farthest(sd.g, owner, piece.id, start)
+            assert sorted(dist) == piece.vertices
+            assert _best_level(sd.g.head, piece.edges, dist, bset, cap) == \
+                brute_best_level(sd.g, piece, dist, cap)
             checked += 1
     assert checked > 20
