@@ -222,6 +222,8 @@ def _verify_one(spec: str, seed: int, pairs_cap: int) -> tuple[int, int]:
 def _cmd_verify(args) -> int:
     if args.pairs < 0:
         raise InputError("--pairs must be at least 0")
+    if args.fixtures < 1:
+        raise InputError("--fixtures must be at least 1")
     tasks = [(args.graph, args.seed + i, args.pairs)
              for i in range(args.fixtures)]
     if args.jobs > 1 and len(tasks) > 1:
@@ -242,16 +244,8 @@ def _cmd_verify(args) -> int:
 # bench
 
 
-def _bench_graph(gen: str, n: int, seed: int) -> PlanarEmbedding:
-    if gen == "grid":
-        r = max(2, int(round(n ** 0.5)))
-        return generators.grid_graph(r, max(2, (n + r - 1) // r),
-                                     rng=random.Random(seed))
-    if gen == "delaunay-like":
-        return generators.random_delaunay_graph(max(3, n), seed=seed)
-    r = max(2, int(round(n ** 0.5)))
-    return generators.random_grid_subgraph(r, max(2, (n + r - 1) // r),
-                                           seed=seed)
+_BENCH_KINDS = {"grid": "grid", "delaunay-like": "delaunay",
+               "random-planar": "random"}
 
 
 def _cmd_bench(args) -> int:
@@ -263,7 +257,7 @@ def _cmd_bench(args) -> int:
         raise InputError("--sizes is empty")
     print("gen\tn\tm\tbuild_s\tquery_us")
     for n in sizes:
-        g = _bench_graph(args.gen, n, args.seed)
+        g = resolve_graph(f"{_BENCH_KINDS[args.gen]}:{n}", args.seed)
         holder = {}
         observer = None
         if args.dump_subdivision:
@@ -345,7 +339,7 @@ def _make_parser() -> argparse.ArgumentParser:
     be.add_argument("--sizes", required=True,
                     help="comma-separated vertex counts, e.g. 1e3,1e4")
     be.add_argument("--gen", default="grid",
-                    choices=["grid", "delaunay-like", "random-planar"])
+                    choices=list(_BENCH_KINDS))
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--dump-subdivision", action="store_true")
     be.set_defaults(func=_cmd_bench)

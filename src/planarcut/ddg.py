@@ -29,12 +29,11 @@ end of the edge to the other (see `sep_cycle`).
 
 A table entry is an `Arc` (see `weights`): a real dart at the leaves, above
 them the tuple of the entries its search chain took.  It remembers its
-weight, real edge count, end darts and smallest interior vertex, and it can
-expand to the exact host dart sequence on demand (the one memo it keeps) or
-walk its parts to its interior vertices (kept nowhere); expansion is also
-what the path comparison falls back to on deep ties, so composed
-tables reproduce the very same canonical paths that a direct search on the
-underlying subgraph finds.  The entries themselves are the search arcs.
+weight, real edge count and end darts, and it expands on demand, memoized,
+to the exact host dart sequence and to its interior vertex set.  Deep ties
+in the path comparison read those expansions, so composed tables reproduce
+the very same canonical paths that a direct search on the underlying
+subgraph finds.  The entries themselves are the search arcs.
 
 Tables hold only *direct* entries: no boundary vertex of the piece that
 owns the table lies strictly inside the entry's path.  This loses no path.
@@ -65,23 +64,17 @@ def entry_from_chain(chain: PathChain, boundary) -> Arc | None:
     boundary node."""
     last = chain.arc
     parts = [last]
-    interior_min = last.interior_min
     c = chain.parent
     while c.arc is not None:
         if c.node in boundary:
             return None
-        if c.node < interior_min:
-            interior_min = c.node
-        arc = c.arc
-        if arc.interior_min < interior_min:
-            interior_min = arc.interior_min
-        parts.append(arc)
+        parts.append(c.arc)
         c = c.parent
     if len(parts) == 1:
         return last
     parts.reverse()
     return Arc(parts[0].src, last.dst, chain.weight, chain.nedges,
-               interior_min, parts[0].first_dart, last.last_dart, tuple(parts))
+               parts[0].first_dart, last.last_dart, tuple(parts))
 
 
 Table = dict  # (src, dst) -> Arc, src != dst, directed

@@ -302,7 +302,7 @@ class CutReportTables:
     ancestor.  The work stays proportional to the cycle length.
     """
 
-    __slots__ = ("p_darts", "d1", "d2", "owner", "index_of_region",
+    __slots__ = ("p_darts", "d1", "d2", "owner", "cycle_of_region",
                  "tin", "tout", "depth", "descend", "budget")
 
     def __init__(self):
@@ -310,7 +310,7 @@ class CutReportTables:
         self.d1: list[int] = []
         self.d2: list[int] = []
         self.owner: dict[int, tuple[int, int]] = {}
-        self.index_of_region: dict[int, int] = {}
+        self.cycle_of_region: dict[int, int] = {}
         self.tin: list[int] = []
         self.tout: list[int] = []
         self.depth: list[int] = []
@@ -320,7 +320,7 @@ class CutReportTables:
     def add_cycle(self, region: int, darts: list[int],
                   owned: list[bool]) -> None:
         idx = len(self.p_darts)
-        self.index_of_region[region] = idx
+        self.cycle_of_region[region] = idx
         k = len(darts)
         if all(owned):
             self.p_darts.append(list(darts))
@@ -471,7 +471,7 @@ def build_cut_report_tables(tree: RegionTree,
     tables.tout = [0] * n_cycles
     tables.depth = [0] * n_cycles
     for region in tin:
-        idx = tables.index_of_region.get(region)
+        idx = tables.cycle_of_region.get(region)
         if idx is None:
             raise InternalAssertion("region without a stored cycle")
         tables.tin[idx] = tin[region]
@@ -479,7 +479,7 @@ def build_cut_report_tables(tree: RegionTree,
         tables.depth[idx] = depth[region]
     tables.finalize()
 
-    for region, idx in tables.index_of_region.items():
+    for region, idx in tables.cycle_of_region.items():
         got, _ = tables.expand_index(idx)
         if not _same_cycle(got, h1_darts[region]):
             raise InternalAssertion(
@@ -804,7 +804,7 @@ def _contract_tree(tree: RegionTree, chain: HostChain,
         if inf:
             raise InternalAssertion(
                 f"infinite weight between groups {ga} and {gb}")
-        out.append((ga, gb, base, eps, tables.index_of_region[region]))
+        out.append((ga, gb, base, eps, tables.cycle_of_region[region]))
     expect = chain.group_count - 1
     if len(out) != expect:
         raise InternalAssertion(

@@ -124,51 +124,37 @@ def _cut_node(xcut: XCut, v: int, d: int):
     return v
 
 
-def _node_index(node) -> int:
-    return node[0] if type(node) is tuple else node
-
-
 class CutUniverse:
-    """Adjacency oracle over the cut-open search graph.
+    """Adjacency oracle over the cut-open search graph, built once from its
+    real edge set and its compact arcs.
 
     Nodes are host vertices, except cut path vertices which appear as
-    (v, side) copies.  Real edges are traversed dart by dart; darts leaving
-    a copy must lie on its side, and cut path edges connect equal-side
-    copies.  Compact table arcs attach to the copies matching their end
-    darts and are expanded only during tie-breaking and final readout.  A
-    row pairs each arc with the node it enters, so a table entry serves
-    here as it is.
+    (v, side) copies; a copy stands for its vertex, which is the `dst` of
+    every arc entering it, so path comparison needs no node map.  Real
+    edges are traversed dart by dart; darts leaving a copy must lie on its
+    side, and cut path edges connect equal-side copies.  Compact table arcs
+    attach to the copies matching their end darts and are expanded only
+    during tie-breaking and final readout.  A row pairs each arc with the
+    node it enters, so a table entry serves here as it is.  The sweep
+    starts from every cut path vertex, and each lies on a real edge: a
+    table arc that the cut path takes touches it and is expanded, and the
+    vertex of a zero-length path is a seed on a group edge.
     """
 
     __slots__ = ("g", "xcut", "real", "dart_arcs", "arcs", "_adj")
 
-    def __init__(self, g: PlanarEmbedding, xcut: XCut, real_edges,
-                 dart_arcs: list):
+    def __init__(self, g: PlanarEmbedding, xcut: XCut, real_edges: set,
+                 dart_arcs: list, compact_arcs):
         self.g = g
         self.xcut = xcut
-        self.real = set(real_edges)
+        self.real = real_edges
         self.dart_arcs = dart_arcs
         self.arcs = {}
+        for arc in compact_arcs:
+            src = _cut_node(xcut, arc.src, arc.first_dart)
+            dst = _cut_node(xcut, arc.dst, arc.last_dart ^ 1)
+            self.arcs.setdefault(src, []).append((dst, arc))
         self._adj = {}
-
-    def add_real(self, edges) -> None:
-        self.real.update(edges)
-        self._adj.clear()
-
-    def add_arc(self, arc) -> None:
-        src = _cut_node(self.xcut, arc.src, arc.first_dart)
-        dst = _cut_node(self.xcut, arc.dst, arc.last_dart ^ 1)
-        self.arcs.setdefault(src, []).append((dst, arc))
-        self._adj.pop(src, None)
-
-    def has_vertex(self, v: int) -> bool:
-        for d in self.g.out[v]:
-            if (d >> 1) in self.real:
-                return True
-        for node in ((v, 0), (v, 1), v):
-            if node in self.arcs:
-                return True
-        return False
 
     def adjacency(self, node):
         rows = self._adj.get(node)
@@ -242,7 +228,7 @@ def _beats(g: PlanarEmbedding, a: CompactCycle, b: CompactCycle) -> bool:
     return a.darts() < b.darts()
 
 
-def _crossing_sweep(universe: CutUniverse, xverts,
+def _crossing_sweep(universe: CutUniverse,
                     stats: dict) -> CompactCycle | None:
     """One shortest-path run per crossing vertex, from its side-0 copy to
     its side-1 copy.  Returns the best simple cycle found, with canonical
@@ -253,10 +239,10 @@ def _crossing_sweep(universe: CutUniverse, xverts,
     neither win nor tie."""
     g = universe.g
     best = None
-    for x in xverts:
+    for x in universe.xcut.order:
         bound = None if best is None else (best.weight, best.nedges)
-        res = lex_dijkstra(universe.adjacency, [(x, 0)], _node_index,
-                           targets=[(x, 1)], bound=bound)
+        res = lex_dijkstra(universe.adjacency, [(x, 0)], targets=[(x, 1)],
+                           bound=bound)
         stats["dijkstras"] += 1
         chain = res.get((x, 1))
         if chain is None or chain.nedges == 0:
@@ -292,7 +278,7 @@ def _best_target_chain(res: dict, targets) -> PathChain | None:
         chain = res.get(t)
         if chain is None:
             continue
-        if best is None or compare_chains(chain, best, _node_index) < 0:
+        if best is None or compare_chains(chain, best) < 0:
             best = chain
     return best
 
@@ -322,8 +308,7 @@ def min_separating_cycle_safe(g: PlanarEmbedding, tree: RegionTree,
         raise NoPath(f"faces {face_a} and {face_b} not connected in region")
 
     xcut = XCut(g, chain.darts(), chain.nodes()[0], face_a, face_b)
-    universe = CutUniverse(g, xcut, edges, arcs)
-    best = _crossing_sweep(universe, xcut.order, stats)
+    best = _crossing_sweep(CutUniverse(g, xcut, edges, arcs, ()), stats)
     if best is None:
         raise NoPath(f"no cycle separates faces {face_a} and {face_b}")
     return best
@@ -501,30 +486,30 @@ def min_separating_cycle_fast(ctx: PieceContext, region: int,
         raise FallbackNeeded("face boundaries not connected through tables")
 
     xcut = XCut(g, chain.darts(), chain.nodes()[0], face_a, face_b)
-    universe = CutUniverse(g, xcut, real, ctx.arcs)
 
     # sibling pieces entered by X contribute their real edges; their tables
     # would hide the crossings
     touched = {ctx.edge_sibling[e] for e in xcut.edges
                if e in ctx.edge_sibling}
     for i in touched:
-        universe.add_real(ctx.sib_edges[i])
+        real.update(ctx.sib_edges[i])
     leaves_piece = any(e not in ctx.group_edges and e not in ctx.edge_sibling
                        for e in xcut.edges)
     tables = [(t, False) for i, t in enumerate(ctx.sib_tables)
               if i not in touched]
     tables.append((ctx.ext_table, leaves_piece))
+    compact = []
     for table, exact in tables:
         for entry in table.values():
             if _arc_touches_cut(entry, xcut, exact):
-                universe.add_real(d >> 1 for d in entry.darts())
+                real.update(d >> 1 for d in entry.darts())
                 stats["expanded_arcs"] += 1
             else:
-                universe.add_arc(entry)
-                stats["compact_arcs"] += 1
+                compact.append(entry)
+    stats["compact_arcs"] += len(compact)
 
-    xverts = [v for v in xcut.order if universe.has_vertex(v)]
-    best = _crossing_sweep(universe, xverts, stats)
+    best = _crossing_sweep(CutUniverse(g, xcut, real, ctx.arcs, compact),
+                           stats)
     if best is None:
         raise FallbackNeeded("no separating cycle in the table universe")
     return best

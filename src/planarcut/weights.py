@@ -13,11 +13,12 @@ sum a search forms (it uses an edge at most twice) stays in range.  Keys
 add and compare as plain ints; `unpack` decodes them at the API edge.
 
 Path comparison refines weight order in two further steps so that shortest
-paths are unique: first by real edge count, then by the smallest vertex index
-that appears on exactly one of the two paths.  Paths with equal weight, equal
+paths are unique: first by real edge count, then by the smallest vertex
+that lies on exactly one of the two paths.  Paths with equal weight, equal
 length and equal vertex sets are ordered by their dart sequences, which is an
-artifact-level total order (the vertex-index rule alone cannot distinguish
-parallel edges).
+artifact-level total order (the vertex rule alone cannot distinguish
+parallel edges).  The vertex rung has one reading: each path's vertex set
+comes from its arcs (`compare_chains`), whatever the search nodes are.
 
 Every path the searches walk as one edge is an `Arc`: a real dart, or a
 compressed path such as a distance-table entry, which expands itself on
@@ -30,8 +31,6 @@ from __future__ import annotations
 
 import heapq
 from typing import Callable, Iterable, Sequence
-
-INDEX_INF = float("inf")
 
 COUNT_BITS = 64
 BASE_BITS = 256
@@ -75,30 +74,29 @@ class Arc:
 
     A real dart has `parts` None (see `dart_arc`).  A compressed path is a
     concatenation of shorter arcs, such as a distance-table entry assembled
-    from child entries, with `parts` the tuple of its pieces.
-    `interior_min` is the smallest vertex index strictly between the
-    endpoints (INDEX_INF for a dart).  `darts()` expands to the host dart
-    sequence in travel direction, memoized; `interior_vertices()` walks the
-    parts to the interior vertex set each time it is called, which only
-    deep ties in `compare_chains` do.  A distance-table entry is always
-    direct: no boundary vertex of its piece lies strictly inside it (see
-    `ddg`).
+    from child entries, with `parts` the tuple of its pieces.  `darts()`
+    expands to the host dart sequence in travel direction and
+    `interior_vertices()` to the set of vertices strictly between the
+    endpoints (empty for a dart); both are memoized, and only deep ties in
+    `compare_chains` and the final readout ask for them.  A distance-table
+    entry is always direct: no boundary vertex of its piece lies strictly
+    inside it (see `ddg`).
     """
 
-    __slots__ = ("src", "dst", "weight", "nedges", "interior_min",
-                 "first_dart", "last_dart", "parts", "_darts")
+    __slots__ = ("src", "dst", "weight", "nedges", "first_dart",
+                 "last_dart", "parts", "_darts", "_interior")
 
     def __init__(self, src, dst, weight: int, nedges: int,
-                 interior_min, first_dart: int, last_dart: int, parts):
+                 first_dart: int, last_dart: int, parts):
         self.src = src
         self.dst = dst
         self.weight = weight
         self.nedges = nedges
-        self.interior_min = interior_min
         self.first_dart = first_dart
         self.last_dart = last_dart
         self.parts = parts
         self._darts = None
+        self._interior = None
 
     def darts(self) -> list[int]:
         if self._darts is None:
@@ -111,16 +109,16 @@ class Arc:
                 self._darts = out
         return self._darts
 
-    def interior_vertices(self) -> set:
-        out = set()
-        stack = [self]
-        while stack:
-            parts = stack.pop().parts
-            if parts is not None:
-                for p in parts[:-1]:
-                    out.add(p.dst)
-                stack.extend(parts)
-        return out
+    def interior_vertices(self) -> frozenset:
+        if self._interior is None:
+            if self.parts is None:
+                self._interior = frozenset()
+            else:
+                out = {p.dst for p in self.parts[:-1]}
+                for p in self.parts:
+                    out.update(p.interior_vertices())
+                self._interior = frozenset(out)
+        return self._interior
 
     def __repr__(self) -> str:  # debug aid only
         return f"Arc({self.src}->{self.dst}, w={unpack(self.weight)}, n={self.nedges})"
@@ -128,8 +126,7 @@ class Arc:
 
 def dart_arc(g, d: int) -> Arc:
     """The arc of dart `d` of the embedding `g`."""
-    return Arc(g.head[d ^ 1], g.head[d], g.weights[d >> 1], 1, INDEX_INF,
-               d, d, None)
+    return Arc(g.head[d ^ 1], g.head[d], g.weights[d >> 1], 1, d, d, None)
 
 
 def dart_arcs(g) -> list[Arc]:
@@ -192,44 +189,32 @@ class PathChain:
         return out
 
 
-def _suffix_entries(chain: PathChain, stop: set[int]) -> list[PathChain]:
-    """Chain nodes strictly below the first node whose id is in `stop`."""
-    out = []
+def _suffix_vertices(chain: PathChain, stop: set[int]) -> set:
+    """Vertices of the chain nodes strictly below the first node whose id is
+    in `stop`, each read from the arc that entered it (a source node is its
+    own vertex), plus the interiors of those arcs."""
+    out = set()
     c: PathChain | None = chain
     while c is not None and id(c) not in stop:
-        out.append(c)
+        arc = c.arc
+        if arc is None:
+            out.add(c.node)
+        else:
+            out.add(arc.dst)
+            if arc.parts is not None:
+                out.update(arc.interior_vertices())
         c = c.parent
     return out
 
 
-def _suffix_min_index(entries: list[PathChain], index_of) -> float:
-    m = INDEX_INF
-    for c in entries:
-        idx = index_of(c.node)
-        if idx < m:
-            m = idx
-        if c.arc is not None and c.arc.interior_min < m:
-            m = c.arc.interior_min
-    return m
+def compare_chains(a: PathChain, b: PathChain) -> int:
+    """Total order on search paths: weight, edge count, vertex rule, then
+    dart sequence.  Returns -1, 0 or +1.
 
-
-def _suffix_index_set(entries: list[PathChain], index_of) -> set:
-    out = set()
-    for c in entries:
-        out.add(index_of(c.node))
-        if c.arc is not None and c.arc.interior_min is not INDEX_INF:
-            out.update(c.arc.interior_vertices())
-    return out
-
-
-def compare_chains(a: PathChain, b: PathChain, index_of: Callable) -> int:
-    """Total order on search paths: weight, edge count, vertex-index rule,
-    then dart sequence.  Returns -1, 0 or +1.
-
-    The index rule only ever walks the divergent suffixes: shared prefix nodes
-    are the same objects.  When both suffix minima coincide (the vertex lies on
-    both paths and cancels in the set difference) the arcs are expanded and the
-    exact symmetric difference is compared.
+    The vertex rule only ever walks the divergent suffixes: shared prefix
+    nodes are the same objects, and their vertices cancel in the symmetric
+    difference.  The path holding the smallest vertex of that difference
+    comes first.
     """
     if a.weight != b.weight:
         return -1 if a.weight < b.weight else 1
@@ -256,24 +241,10 @@ def compare_chains(a: PathChain, b: PathChain, index_of: Callable) -> int:
             break
         c = c.parent
 
-    sa = _suffix_entries(a, shared)
-    sb = _suffix_entries(b, shared)
-    ma = _suffix_min_index(sa, index_of)
-    mb = _suffix_min_index(sb, index_of)
-    if ma != mb:
-        # the smaller minimum cannot appear on the other path, so it is in the
-        # set difference
-        return -1 if ma < mb else 1
-
-    if ma is not INDEX_INF:
-        va = _suffix_index_set(sa, index_of)
-        vb = _suffix_index_set(sb, index_of)
-        only_a = va - vb
-        only_b = vb - va
-        ia = min(only_a) if only_a else INDEX_INF
-        ib = min(only_b) if only_b else INDEX_INF
-        if ia != ib:
-            return -1 if ia < ib else 1
+    va = _suffix_vertices(a, shared)
+    vb = _suffix_vertices(b, shared)
+    if va != vb:
+        return -1 if min(va ^ vb) in va else 1
 
     da = a.darts()
     db = b.darts()
@@ -284,22 +255,22 @@ def compare_chains(a: PathChain, b: PathChain, index_of: Callable) -> int:
 
 def lex_dijkstra(adj: Callable[[object], Iterable[tuple[object, Arc]]],
                  sources: Sequence,
-                 index_of: Callable = lambda v: v,
                  targets: Iterable | None = None,
                  bound: tuple[int, int] | None = None) -> dict:
     """Unique lexicographic shortest-path forest from `sources`.
 
     `adj(node)` yields (head node, Arc) pairs; the head is the search node
     the arc enters, which need not be the arc's `dst` vertex itself (see
-    the cut-open universe in `sep_cycle`).  `sources` is a sequence of
-    distinct nodes, each starting at key zero.  Returns {node: PathChain}
-    for every settled node.  With `targets` the search stops once all
-    targets are settled; the other nodes it returns then depend on heap
-    order, so callers read only the targets.  With `bound` =
-    (weight, nedges) the search stops once the smallest key on the heap is
-    strictly above it, so it settles exactly the nodes of the unbounded
-    search whose key is at most `bound`.  Deterministic given the adjacency
-    order.
+    the cut-open universe in `sep_cycle`), but it stands for that vertex:
+    ties read vertices from the arcs, and a source node is its own vertex.
+    `sources` is a sequence of distinct nodes, each starting at key zero.
+    Returns {node: PathChain} for every settled node.  With `targets` the
+    search stops once all targets are settled; the other nodes it returns
+    then depend on heap order, so callers read only the targets.  With
+    `bound` = (weight, nedges) the search stops once the smallest key on
+    the heap is strictly above it, so it settles exactly the nodes of the
+    unbounded search whose key is at most `bound`.  Deterministic given the
+    adjacency order.
 
     Edge counts are strictly positive on every arc, so nodes whose keys tie on
     (weight, nedges) never relax each other and heap order within such a tie
@@ -341,7 +312,7 @@ def lex_dijkstra(adj: Callable[[object], Iterable[tuple[object, Arc]]],
                 cand = PathChain(head, chain, arc, w, k)
             elif w == cur.weight and k == cur.nedges:
                 cand = PathChain(head, chain, arc, w, k)
-                if compare_chains(cand, cur, index_of) >= 0:
+                if compare_chains(cand, cur) >= 0:
                     continue
             else:
                 continue

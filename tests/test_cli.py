@@ -210,11 +210,23 @@ def test_bad_bench_sizes(capsys):
     for sizes in ("inf", "1e9999", "-inf", "x"):
         assert main(["bench", f"--sizes={sizes}"]) == 2, sizes
         assert "bad --sizes" in capsys.readouterr().err
+    # below a generator's minimum, as the graph specs refuse it
+    assert main(["bench", "--sizes", "1", "--gen", "grid"]) == 2
+    assert "bad grid size" in capsys.readouterr().err
+    assert main(["bench", "--sizes", "2", "--gen", "delaunay-like"]) == 2
+    assert "at least 3 points" in capsys.readouterr().err
 
 
 def test_verify_negative_pairs(capsys):
     assert main(["verify", "grid:3,3", "--pairs", "-1"]) == 2
     assert "--pairs" in capsys.readouterr().err
+
+
+def test_verify_needs_a_fixture(capsys):
+    for count in ("0", "-2"):
+        assert main(["verify", "grid:3,3", "--fixtures", count]) == 2, count
+        out = capsys.readouterr()
+        assert "--fixtures" in out.err and "mismatches" not in out.out
 
 
 def test_verify_pool_no_larger_than_fixtures(monkeypatch, capsys):

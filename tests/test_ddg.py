@@ -34,8 +34,6 @@ def check_entry_walk(g, entry):
         total = total + g.weights[d >> 1]
     assert total == entry.weight
     assert entry.interior_vertices() == interior
-    if interior:
-        assert entry.interior_min == min(interior)
 
 
 def stored_and_reference(piece, table, direct_adj):

@@ -1,13 +1,19 @@
 import random
+from functools import cmp_to_key
 
+import pytest
 from hypothesis import given, strategies as st
 
+from _search_reference import parallel_zero_graph
+from planarcut.ddg import build_ddgs, table_adjacency
 from planarcut.generators import grid_graph, triangle_graph
 from planarcut.oracle import build_oracle
+from planarcut.subdivision import recursive_subdivide
 from planarcut.weights import (BASE_BITS, BASE_SHIFT, COUNT_BITS, EPS_EDGE,
-                               INDEX_INF, INF_EDGE, INF_SHIFT, ZERO_EDGE,
+                               INF_EDGE, INF_SHIFT, ZERO_EDGE,
                                ZERO_SHIFT, Arc, PathChain, TieBreakWeight,
-                               compare_chains, dart_arc, lex_dijkstra, unpack)
+                               compare_chains, dart_adjacency, dart_arc,
+                               dart_arcs, lex_dijkstra, unpack)
 
 W = TieBreakWeight
 
@@ -71,7 +77,7 @@ def test_input_weight_keeps_its_base(b):
 
 
 def _dart(src, dst, dart, w):
-    return Arc(src, dst, W.of(w), 1, INDEX_INF, dart, dart, None)
+    return Arc(src, dst, W.of(w), 1, dart, dart, None)
 
 
 def _extend(chain, arc):
@@ -121,12 +127,12 @@ def test_chain_accumulates_weight_and_edges():
 def test_compare_chains_weight_then_length():
     a = _chain((0, 1, 1))
     b = _chain((2, 2, 1))
-    assert compare_chains(a, b, int) == -1
+    assert compare_chains(a, b) == -1
     # same weight, fewer edges wins
     c = _chain((0, 2, 1))
     d = _chain((2, 1, 3), (4, 1, 1))
-    assert compare_chains(c, d, int) == -1
-    assert compare_chains(d, c, int) == 1
+    assert compare_chains(c, d) == -1
+    assert compare_chains(d, c) == 1
 
 
 def test_compare_chains_vertex_index_rule():
@@ -134,8 +140,8 @@ def test_compare_chains_vertex_index_rule():
     # minimum over the symmetric difference is 3 vs 4
     a = _chain((0, 1, 3), (2, 1, 1), (4, 1, 5))
     b = _chain((6, 1, 1), (8, 1, 4), (10, 1, 5))
-    assert compare_chains(a, b, int) == -1
-    assert compare_chains(b, a, int) == 1
+    assert compare_chains(a, b) == -1
+    assert compare_chains(b, a) == 1
 
 
 def test_compare_chains_shared_prefix_is_skipped():
@@ -143,18 +149,18 @@ def test_compare_chains_shared_prefix_is_skipped():
     a = _extend(_extend(base, _dart(7, 2, 2, 1)), _dart(2, 5, 4, 1))
     b = _extend(_extend(base, _dart(7, 3, 6, 1)), _dart(3, 5, 8, 1))
     # suffixes diverge at vertices {2} vs {3}; the shared 7 must not matter
-    assert compare_chains(a, b, int) == -1
+    assert compare_chains(a, b) == -1
 
 
 def test_compare_chains_expands_on_suffix_min_collision():
     # 0 -> 3 -> 1 -> 5 versus 0 -> 1 -> 4 -> 5, each buried in one composite
-    # arc: both suffixes see minimum index 1, so only the exact interior
-    # sets {3, 1} and {1, 4} can decide
+    # arc: both suffixes hold vertex 1, so only the interior sets {3, 1}
+    # and {1, 4}, read from the parts, can decide
     def composite(path, darts):
         parts = [_dart(u, v, d, 1)
                  for u, v, d in zip(path, path[1:], darts)]
-        return Arc(path[0], path[-1], W.of(3), 3, min(path[1:-1]),
-                   darts[0], darts[-1], parts)
+        return Arc(path[0], path[-1], W.of(3), 3, darts[0], darts[-1],
+                   parts)
 
     ca = composite([0, 3, 1, 5], [6, 8, 10])
     cb = composite([0, 1, 4, 5], [0, 2, 4])
@@ -163,21 +169,36 @@ def test_compare_chains_expands_on_suffix_min_collision():
     b = _extend(root, cb)
     # the dart order alone would rank b first
     assert ca.darts() > cb.darts()
-    assert compare_chains(a, b, int) == -1
-    assert compare_chains(b, a, int) == 1
+    assert compare_chains(a, b) == -1
+    assert compare_chains(b, a) == 1
     assert ca.interior_vertices() == {3, 1}
     assert cb.interior_vertices() == {1, 4}
     flat_a = _chain((6, 1, 3), (8, 1, 1), (10, 1, 5))
     flat_b = _chain((0, 1, 1), (2, 1, 4), (4, 1, 5))
-    assert compare_chains(flat_a, flat_b, int) == -1
+    assert compare_chains(flat_a, flat_b) == -1
 
 
 def test_compare_chains_dart_fallback_for_parallel_edges():
     a = _chain((0, 1, 1))
     b = _chain((2, 1, 1))
-    assert compare_chains(a, b, int) == -1
-    assert compare_chains(b, a, int) == 1
-    assert compare_chains(a, _chain((0, 1, 1)), int) == 0
+    assert compare_chains(a, b) == -1
+    assert compare_chains(b, a) == 1
+    assert compare_chains(a, _chain((0, 1, 1))) == 0
+
+
+def test_compare_chains_reads_vertices_from_arcs():
+    # search nodes that are not vertices, like the split copies of a
+    # cut-open graph, here labels that sort against their vertices: each
+    # node stands for the dst of the arc entering it
+    root = PathChain.source("s")
+    a = _extend(root, _dart(9, 4, 0, 1))
+    b = _extend(root, _dart(9, 2, 2, 1))
+    a.node, b.node = "u", "w"
+    a = _extend(a, _dart(4, 6, 4, 1))
+    b = _extend(b, _dart(2, 6, 6, 1))
+    a.node = b.node = "t"
+    assert compare_chains(b, a) == -1
+    assert compare_chains(a, b) == 1
 
 
 def _adj_from_edges(n, edge_list):
@@ -249,3 +270,101 @@ def test_lex_dijkstra_bound_settles_the_unbounded_prefix():
         for v, chain in got.items():
             assert chain.nodes() == full[v].nodes()
             assert chain.darts() == full[v].darts()
+
+
+# ---------------------------------------------------------------------------
+# brute force: the settled chain is the minimum over every simple path
+
+
+def _path_order(g, s):
+    """The reference order on s-paths given as dart lists, read from the
+    fully expanded darts: weight, edge count, the smallest vertex on only
+    one path, then the dart sequence."""
+    def vertices(darts):
+        return {s} | {g.head[d] for d in darts}
+
+    def cmp(p, q):
+        kp = (sum(g.weights[d >> 1] for d in p), len(p))
+        kq = (sum(g.weights[d >> 1] for d in q), len(q))
+        if kp != kq:
+            return -1 if kp < kq else 1
+        vp, vq = vertices(p), vertices(q)
+        if vp != vq:
+            return -1 if min(vp ^ vq) in vp else 1
+        return (p > q) - (p < q)
+    return cmp_to_key(cmp)
+
+
+def _brute_minima(g) -> tuple[dict, int]:
+    """(s, t) -> dart list of the least simple s-t path in the reference
+    order, and the number of pairs whose least (weight, edge count) is
+    shared by several paths.  Only those ties meet the full order."""
+    best = {}
+    deep = 0
+    for s in range(g.n):
+        found: dict = {}
+        darts: list = []
+        on = {s}
+
+        def walk(v, w):
+            for d in g.out[v]:
+                h = g.head[d]
+                if h in on:
+                    continue
+                darts.append(d)
+                on.add(h)
+                key = (w + g.weights[d >> 1], len(darts))
+                got = found.get(h)
+                if got is None or key < got[0]:
+                    found[h] = (key, [list(darts)])
+                elif key == got[0]:
+                    got[1].append(list(darts))
+                walk(h, key[0])
+                darts.pop()
+                on.discard(h)
+
+        walk(s, 0)
+        order = _path_order(g, s)
+        for t, (_, tied) in found.items():
+            best[(s, t)] = min(tied, key=order)
+            deep += len(tied) > 1
+    return best, deep
+
+
+ORDER_GRAPHS = {"unit-grid-3x4": lambda: grid_graph(3, 4),
+                "parallel-zero": parallel_zero_graph}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_GRAPHS))
+def test_lex_dijkstra_settles_the_least_simple_path(name):
+    g = ORDER_GRAPHS[name]()
+    want, deep = _brute_minima(g)
+    assert len(want) == g.n * (g.n - 1)
+    assert deep > len(want) // 2
+    arcs = dart_arcs(g)
+    adj = dart_adjacency(arcs, range(g.m))
+    for s in range(g.n):
+        got = lex_dijkstra(adj.__getitem__, [s])
+        for t in range(g.n):
+            if t != s:
+                assert got[t].darts() == want[(s, t)], (s, t)
+
+    # the same paths through one composed internal table: the largest
+    # piece below the root enters as its entries, the rest as darts
+    sd = recursive_subdivide(g)
+    piece = max(sd.pieces[1:], key=lambda p: len(p.edges))
+    table = build_ddgs(sd).int_table(piece.id)
+    assert any(entry.parts is not None for entry in table.values())
+    inside = set(piece.edges)
+    adj = dart_adjacency(arcs, [e for e in range(g.m) if e not in inside],
+                         table_adjacency([table]))
+    nodes = sorted(adj)
+    assert set(piece.boundary) <= set(nodes) and len(nodes) < g.n
+    composed = 0
+    for s in nodes:
+        got = lex_dijkstra(adj.__getitem__, [s])
+        for t in nodes:
+            if t != s:
+                assert got[t].darts() == want[(s, t)], (s, t)
+                composed += any(a.parts is not None for a in got[t].arcs())
+    assert composed > 0
