@@ -609,6 +609,8 @@ class MinCutOracle:
     def save(self, path: str) -> None:
         if any(rec[2] >> 63 for rec in self.gh_edges):
             raise InputError("oracle files store cut weights below 2^63")
+        if self.scale >> 63:
+            raise InputError("oracle files store a weight scale below 2^63")
         with open(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<HH", 1, 0 if self.mode == "cut" else 1))

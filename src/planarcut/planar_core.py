@@ -43,37 +43,42 @@ class PlanarEmbedding:
         if len(head) != 2 * self.m:
             raise InputError("dart table size must be twice the edge count")
 
-        slot_of = [-1] * (2 * self.m)
-        for v, rot in enumerate(out):
-            for i, d in enumerate(rot):
-                if d < 0 or d >= 2 * self.m or slot_of[d] != -1:
+        # One pass over the rotations gives each dart's slot and the face
+        # permutation: the successor of a ^ 1 is the dart after a around
+        # a's tail.  Every dart in out[v] must have tail v; build_embedding
+        # checks that for edge lists, and the transforms keep it.
+        nd = 2 * self.m
+        slot_of = [-1] * nd
+        fnext = [-1] * nd
+        for rot in out:
+            k = len(rot)
+            i = 0
+            for d in rot:
+                if not 0 <= d < nd or slot_of[d] != -1:
                     raise NonPlanarEmbedding("rotation system is not a dart partition")
-                if head[d ^ 1] != v:
-                    raise NonPlanarEmbedding(f"dart {d} listed at vertex {v}, tail is {head[d ^ 1]}")
                 slot_of[d] = i
-        if any(s == -1 for s in slot_of):
+                i += 1
+                fnext[d ^ 1] = rot[i - k]
+        if sum(map(len, out)) != nd:
             raise NonPlanarEmbedding("rotation system misses some darts")
         self.slot_of = slot_of
-
-        fnext = [0] * (2 * self.m)
-        for d in range(2 * self.m):
-            rot = out[head[d]]
-            fnext[d] = rot[(slot_of[d ^ 1] + 1) % len(rot)]
         self.fnext = fnext
 
-        face_of = [-1] * (2 * self.m)
+        # fnext is a permutation, so every orbit closes
+        face_of = [-1] * nd
         faces: list[list[int]] = []
-        for d0 in range(2 * self.m):
+        for d0 in range(nd):
             if face_of[d0] != -1:
                 continue
+            f = len(faces)
             orbit = []
             d = d0
-            while face_of[d] == -1:
-                face_of[d] = len(faces)
+            while True:
+                face_of[d] = f
                 orbit.append(d)
                 d = fnext[d]
-            if d != d0:
-                raise NonPlanarEmbedding("face permutation orbit broke")
+                if d == d0:
+                    break
             faces.append(orbit)
         self.face_of = face_of
         self.faces = faces
@@ -147,10 +152,10 @@ class PlanarEmbedding:
         stack = [0]
         seen[0] = True
         count = 1
+        head = self.head
         while stack:
-            v = stack.pop()
-            for d in self.out[v]:
-                w = self.head[d]
+            for d in self.out[stack.pop()]:
+                w = head[d]
                 if not seen[w]:
                     seen[w] = True
                     count += 1
@@ -170,7 +175,9 @@ def build_embedding(n: int, edges: list[tuple[int, int]],
     """Construct an embedding from per-vertex clockwise edge-id rotations.
 
     A self-loop's edge id appears twice in its vertex's rotation; the first
-    occurrence stands for dart 2e and the second for dart 2e+1.  Weights
+    occurrence stands for dart 2e and the second for dart 2e+1.  An edge id
+    listed at a vertex it does not touch is refused here, so every dart the
+    constructor sees leaves the vertex that lists it.  Weights
     are `TieBreakWeight.of` keys; their total must stay below BASE_LIMIT
     (see `weights`).
     """

@@ -1,11 +1,13 @@
 """Reference searches shared by the tests: plain dart adjacencies of the
 embedding, a lexicographic search that returns table entries and a cut
 check; graphs with parallel edges and zero weights; an edge cycle chained
-into darts; and region-tree ancestry by parent walks (descendant tests,
+into darts; region-tree ancestry by parent walks (descendant tests,
 lca, an edge's home region, the bounding-cycle test and the subpiece rule
-they give)."""
+they give); and graph-file weight tokens read by `Fraction` alone."""
 
 import random
+from fractions import Fraction
+from math import gcd
 
 from planarcut.ddg import entry_from_chain
 from planarcut.errors import InternalAssertion
@@ -75,6 +77,17 @@ def _with_twins(g, doubled, copies=1):
             rotations[u].insert(rotations[u].index(e) + 1, twin)
             rotations[v].insert(rotations[v].index(e), twin)
     return edges, weights, rotations
+
+
+def fraction_weights(tokens) -> tuple[list, int]:
+    """(weight keys, scale) of graph-file weight tokens, every token read by
+    `Fraction`: the scale is the least common denominator, and each key
+    holds its weight times the scale."""
+    values = [Fraction(t) for t in tokens]
+    scale = 1
+    for w in values:
+        scale = scale * w.denominator // gcd(scale, w.denominator)
+    return [TieBreakWeight.of(int(w * scale)) for w in values], scale
 
 
 def parallel_zero_graph(seed=5):

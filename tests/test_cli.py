@@ -101,6 +101,25 @@ def test_non_utf8_graph_file(tmp_path):
     assert "not UTF-8" in proc.stderr
 
 
+TINY = f"1/{10 ** 23}"
+
+
+@pytest.mark.parametrize("text", [
+    # scale 10^23 does not fit the oracle file's 64-bit header
+    f"3 3\n0 1 {TINY}\n1 2 {TINY}\n2 0 {TINY}\n0 2\n1 0\n2 1\n",
+    "2 1\n0 1 1e1000000\n0\n0\n",
+    "2 1\n0 1 1\n0\n0\n0\n",
+], ids=["scale-2^63", "huge-exponent", "trailing-line"])
+def test_bad_graph_builds_no_oracle(tmp_path, text):
+    p = tmp_path / "g.txt"
+    p.write_text(text)
+    out = tmp_path / "x.pco"
+    proc = run_cli("build", str(p), "-o", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_truncated_oracle_exit_code(tmp_path, single_edge_file, capsys):
     orc = tmp_path / "edge.pco"
     assert main(["build", single_edge_file, "-o", str(orc)]) == 0
